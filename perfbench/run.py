@@ -3,19 +3,28 @@
 Runs one workload (see ``workloads.py``) as a closed loop in this
 process through ``firlock.cli.main(argv)``: design, obfuscate, attack
 and evaluate, handing files over in a work directory, exactly as a user
-runs them.  The whole subcommand list is repeated for ``--seconds``;
-every reported time is the median over those iterations.  After each
-iteration the artifacts are checked (``checks.py``) and hashed: every
-iteration must produce the same digests.
+runs them.  The whole subcommand list is run in passes for about
+``--seconds``.  After each pass the artifacts are checked (``checks.py``)
+and hashed: every pass must produce the same digests.
 
     python3 perfbench/run.py --workload paper --seed 0 --seconds 30 --trace 0
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
-untraced and traced iterations and reports the per-layer metrics of the
-traced ones (``tracing.py``); the spans go to ``.bench_out/`` as JSONL.
-The last line of standard output is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``; a fuller record
-(machine, case list, samples, digests) is written to ``.bench_out/``.
+Other tenants of a shared machine slow all of its work alike, by up to
+~40% for seconds to minutes.  ``norm_wall_s`` sums each subcommand's
+median time over the passes, each run's time first divided by the
+machine's speed at that moment, as a fixed probe loop timed just before
+and after it measures it.  ``wall_s`` in the record sums each
+subcommand's fastest run as measured.  ``setup_s`` is the fastest of
+several fresh interpreters, one started before the first pass and one
+after each pass: contention only adds time.
+
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs every
+subcommand twice in a row, untraced and traced (which goes first
+alternates), and reports the per-layer metrics of the traced runs
+(``tracing.py``); the spans go to ``.bench_out/`` as JSONL.  The last
+line of standard output is one JSON object with the keys ``correct``,
+``attempted``, ``failed`` and ``metrics``; a fuller record (machine,
+case list, samples, digests) is written to ``.bench_out/``.
 """
 
 from __future__ import annotations
@@ -50,9 +59,9 @@ RUN_DIR = ROOT / ".bench_run"
 OUT_DIR = ROOT / ".bench_out"
 
 STAGES = ("design", "obfuscate", "attack", "evaluate")
-# Fresh interpreters timed for setup_s.  The median also discards the
-# first one's bytecode compilation in a fresh checkout.
-SETUP_REPEATS = 4
+# Fewest fresh interpreters timed for setup_s.  The minimum also discards
+# the first one's bytecode compilation in a fresh checkout.
+SETUP_SAMPLES = 5
 SETUP_CODE = (
     "import sys, shutil, tempfile\n"
     "import numpy, scipy\n"
@@ -60,6 +69,14 @@ SETUP_CODE = (
     "shutil.rmtree(tempfile.mkdtemp(dir=sys.argv[1]))\n"
 )
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# A fixed pure-Python loop, timed before and after every subcommand.
+# Other tenants of a shared machine slow all of its work alike, by up to
+# ~40% for seconds to minutes; dividing a time by its neighbouring probes
+# cancels most of that.
+PROBE_N = 200_000
+# The probe's time on an idle 2-vCPU Xeon, the baseline machine: scaled
+# by it, a normalized time reads as seconds on that machine when idle.
+PROBE_REF_S = 0.013
 
 
 def parse_args(argv=None):
@@ -74,34 +91,54 @@ def parse_args(argv=None):
     return args
 
 
-def measure_setup(work: Path) -> list:
-    """Wall time of fresh interpreters that import firlock and make a temp dir."""
+def probe() -> float:
+    """Wall time of the fixed probe loop."""
+    t = time.perf_counter()
+    acc = 0
+    for i in range(PROBE_N):
+        acc += i * i % 7
+    return time.perf_counter() - t
+
+
+def normalized(seconds, before, after):
+    """``seconds`` scaled by the probes timed just before and after it."""
+    return seconds * 2.0 * PROBE_REF_S / (before + after)
+
+
+def time_setup(work: Path) -> float:
+    """Wall time of a fresh interpreter that imports firlock and makes a temp dir."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        t = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE, str(work)], env=env, check=True,
-                       timeout=120, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        samples.append(time.perf_counter() - t)
-    return samples
+    t = time.perf_counter()
+    subprocess.run([sys.executable, "-c", SETUP_CODE, str(work)], env=env, check=True,
+                   timeout=120, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return time.perf_counter() - t
 
 
-def invoke(cli, argv, tracer):
-    """Run one subcommand; returns (exit code, captured stderr)."""
+def invoke(cli, step, tracer):
+    """Run one subcommand; returns (exit code, captured stderr, seconds)."""
     out, err = io.StringIO(), io.StringIO()
+    argv = list(step.argv)
+    if tracer is not None:
+        tracer.case = step.case
+        tracer.install()
+    t = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             if tracer is None:
-                rc = cli.main(list(argv))
+                rc = cli.main(argv)
             else:
-                rc = tracer.call("cli." + argv[0], cli.main, list(argv))
+                rc = tracer.call("cli." + argv[0], cli.main, argv)
     except SystemExit as exc:
         rc = exc.code if isinstance(exc.code, int) else 2
     except Exception:
         rc = -1
         err.write(traceback.format_exc())
-    return rc, err.getvalue()
+    finally:
+        dt = time.perf_counter() - t
+        if tracer is not None:
+            tracer.uninstall()
+    return rc, err.getvalue(), dt
 
 
 def check_step(step):
@@ -117,30 +154,47 @@ def check_step(step):
         return [f"artifact unreadable: {exc!r}"]
 
 
-def run_iteration(cli, steps, tracer):
-    """The workload's subcommand list once, then its checks and digests."""
+def out_digests(step):
+    return checks.digests(step.out) if Path(step.out).is_dir() else {}
+
+
+def run_pass(cli, steps, tracer, parity):
+    """The workload's subcommand list once, then its checks and digests.
+
+    With a tracer every subcommand runs twice in a row, untraced and
+    traced, so each pair sees the same machine state; the traced run goes
+    first for every other subcommand, starting with the first if
+    ``parity`` is odd.  Both runs must leave the same artifacts.
+    """
     shutil.rmtree("run", ignore_errors=True)
-    stage_s = dict.fromkeys(STAGES, 0.0)
-    problems = {}
-    t0 = time.perf_counter()
+    step_s, traced_s, problems = [], [], {}
+    probes = [probe()]
     for k, step in enumerate(steps):
-        if tracer is not None:
-            tracer.case = step.case
-        t = time.perf_counter()
-        rc, err = invoke(cli, step.argv, tracer)
-        stage_s[step.stage] += time.perf_counter() - t
-        if rc != 0:
-            problems[k] = [f"exit {rc}: {err.strip()[-2000:]}"]
-    wall = time.perf_counter() - t0
+        if tracer is None:
+            modes = (None,)
+        else:
+            modes = (tracer, None) if (parity + k) % 2 else (None, tracer)
+        left = []
+        for mode in modes:
+            rc, err, dt = invoke(cli, step, mode)
+            (step_s if mode is None else traced_s).append(dt)
+            if rc != 0:
+                problems.setdefault(k, []).append(f"exit {rc}: {err.strip()[-2000:]}")
+            if tracer is not None:
+                left.append(out_digests(step))
+        probes.append(probe())
+        if len(left) == 2 and left[0] != left[1] and k not in problems:
+            problems[k] = ["traced and untraced runs left different artifacts"]
     for k, step in enumerate(steps):
         if k not in problems:
             found = check_step(step)
             if found:
                 problems[k] = found
-    digests = [checks.digests(s.out) if Path(s.out).is_dir() else {} for s in steps]
     written = sum(f.stat().st_size for f in Path("run").rglob("*") if f.is_file())
-    return {"wall_s": wall, "stage_s": stage_s, "problems": problems,
-            "digests": digests, "bytes_written": written}
+    norm_s = [normalized(t, a, b) for t, a, b in zip(step_s, probes, probes[1:])]
+    return {"step_s": step_s, "norm_step_s": norm_s, "traced_step_s": traced_s,
+            "probes_s": probes, "problems": problems,
+            "digests": [out_digests(s) for s in steps], "bytes_written": written}
 
 
 def machine_record() -> dict:
@@ -183,9 +237,10 @@ def main(argv=None) -> int:
     RUN_DIR.mkdir(exist_ok=True)
     OUT_DIR.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=RUN_DIR))
+    setup_samples = []
     try:
         try:
-            setup_samples = measure_setup(work)
+            setup_samples.append(time_setup(work))
         except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
             print(f"error: firlock does not import: {exc}", file=sys.stderr)
             return 2
@@ -196,45 +251,56 @@ def main(argv=None) -> int:
             Path(spec_path(f)).parent.mkdir(parents=True, exist_ok=True)
             Path(spec_path(f)).write_text(cli.bundled_spec_text(f), encoding="utf-8")
         ready_s = time.perf_counter() - _T_START
-        iterations, spans = run_loop(args, cli, steps)
+        passes, spans = run_loop(args, cli, steps, lambda: setup_samples.append(time_setup(work)))
+        while len(setup_samples) < SETUP_SAMPLES:
+            setup_samples.append(time_setup(work))
     finally:
         os.chdir(ROOT)
         shutil.rmtree(work, ignore_errors=True)
         with contextlib.suppress(OSError):
             RUN_DIR.rmdir()
 
-    # Every iteration must reproduce the first one's artifacts exactly.
-    reference = iterations[0]["digests"]
-    for it in iterations[1:]:
+    # Every pass must reproduce the first one's artifacts exactly.
+    reference = passes[0]["digests"]
+    for it in passes[1:]:
         for k, (want, got) in enumerate(zip(reference, it["digests"])):
             if want != got and k not in it["problems"]:
-                it["problems"][k] = ["artifact digests differ from the first iteration"]
-    attempted = len(steps) * len(iterations)
-    failed = sum(len(it["problems"]) for it in iterations)
+                it["problems"][k] = ["artifact digests differ from the first pass"]
+    runs_per_pass = 2 if args.trace else 1
+    attempted = len(steps) * len(passes) * runs_per_pass
+    failed = sum(len(it["problems"]) for it in passes)
 
-    untraced = [it for it in iterations if not it["traced"]]
-    traced = [it for it in iterations if it["traced"]]
+    # Each subcommand's fastest untraced run as measured, and its median
+    # normalized run: normalizing leaves symmetric probe jitter, which a
+    # minimum would pick out.
+    n = len(passes)
+    fastest = [min(it["step_s"][k] for it in passes) for k in range(len(steps))]
+    typical = [median(it["norm_step_s"][k] for it in passes) for k in range(len(steps))]
     # name -> (value, unit, samples).  Every workload reports every
     # end-to-end metric, so a stage time (under a second on some workload,
-    # zero for attack on lock-sweep) is not one; wall_s covers each
+    # zero for attack on lock-sweep) is not one; norm_wall_s covers each
     # workload's dominant stage.
     e2e = {
-        "setup_s": (median(setup_samples), "s", len(setup_samples)),
-        "wall_s": (median([it["wall_s"] for it in untraced]), "s", len(untraced)),
+        "setup_s": (min(setup_samples), "s", len(setup_samples)),
+        "norm_wall_s": (sum(typical), "s", n),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB", 1),
     }
-    stages = {f"{s}_s": (median([it["stage_s"][s] for it in untraced]), "s", len(untraced))
+    stages = {f"{s}_s": (sum(t for t, step in zip(fastest, steps) if step.stage == s), "s", n)
               for s in STAGES}
-    layers = {}
-    if traced:
-        for name, (unit, _) in tracing.LAYER_METRICS.items():
-            layers[name] = (median([it["layers"][name] for it in traced]), unit, len(traced))
+    wall_s = sum(fastest)
+    layers, layer_self_s = {}, {}
+    if args.trace:
+        units = tracing.metric_units()
+        for name, unit in units.items():
+            layers[name] = (median([it["layers"][name] for it in passes]), unit, n)
         # Measured by this file, not by the tracer: the stage times of the
-        # untraced iterations, and traced minus untraced wall_s.
-        for name, (value, unit, n) in stages.items():
+        # untraced runs, and each pass's traced minus untraced time.
+        for name, (value, unit, _) in stages.items():
             layers["stage." + name] = (value, unit, n)
-        overhead = median([it["wall_s"] for it in traced]) - e2e["wall_s"][0]
-        layers["trace.overhead_s"] = (overhead, "s", len(traced))
+        overhead = median([sum(it["traced_step_s"]) - sum(it["step_s"]) for it in passes])
+        layers["trace.overhead_s"] = (overhead, "s", n)
+        layer_self_s = {k: median([it["self_totals"].get(k, 0.0) for it in passes])
+                        for k in sorted({k for it in passes for k in it["self_totals"]})}
     record = {
         "workload": {"name": workload.name, "why": workload.why,
                      "cases": [c.__dict__ | {"id": c.id} for c in workload.cases]},
@@ -244,17 +310,19 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "machine": machine_record(),
         "in_process_ready_s": ready_s,
+        "wall_s": wall_s,
         "setup_samples_s": setup_samples,
-        "iterations": [
-            {k: v for k, v in it.items() if k not in ("layers", "digests")}
-            | {"problems": {steps[k].case + " " + steps[k].stage: p
+        "steps": [f"{s.case} {s.stage}" for s in steps],
+        "passes": [
+            {k: v for k, v in it.items() if k not in ("layers", "digests", "self_totals")}
+            | {"wall_s": sum(it["step_s"]),
+               "problems": {steps[k].case + " " + steps[k].stage: p
                             for k, p in it["problems"].items()}}
-            for it in iterations
+            for it in passes
         ],
-        **{part: {k: {"value": v, "unit": u, "samples": n} for k, (v, u, n) in values.items()}
+        **{part: {k: {"value": v, "unit": u, "samples": c} for k, (v, u, c) in values.items()}
            for part, values in (("end_to_end", e2e), ("stages", stages), ("per_layer", layers))},
-        "layer_self_s": {k: median([it["self_totals"].get(k, 0.0) for it in traced])
-                         for k in sorted({k for it in traced for k in it["self_totals"]})},
+        "layer_self_s": layer_self_s,
         "digests": {f"{s.case} {s.stage}": d for s, d in zip(steps, reference)},
         "attempted": attempted,
         "failed": failed,
@@ -268,18 +336,22 @@ def main(argv=None) -> int:
             for row in spans:
                 f.write(json.dumps(row) + "\n")
 
-    for it in iterations:
+    for it in passes:
         for k, found in it["problems"].items():
             for p in found:
                 print(f"FAILED {steps[k].case} {steps[k].stage}: {p}", file=sys.stderr)
-    print(f"workload {workload.name}, seed {args.seed}, {len(iterations)} iterations "
-          f"({len(untraced)} untraced, {len(traced)} traced), "
+    print(f"workload {workload.name}, seed {args.seed}, {n} passes"
+          f"{' (each subcommand untraced and traced)' if args.trace else ''}, "
           f"failed_frac {failed}/{attempted}")
-    for name, (value, unit, n) in (e2e | stages).items():
-        print(f"  {name:<14} {value:12.6f} {unit:<5} (median of {n})")
-    if traced:
-        print(f"  trace overhead {layers['trace.overhead_s'][0]:+.3f} s per iteration")
-        for layer, s in sorted(record["layer_self_s"].items(), key=lambda kv: -kv[1]):
+    for name, (value, unit, c) in e2e.items():
+        how = {"setup_s": "min", "norm_wall_s": "normalized, median"}.get(name, "peak")
+        print(f"  {name:<14} {value:12.6f} {unit:<5} ({how} of {c})")
+    print(f"  {'wall_s':<14} {wall_s:12.6f} s     (as measured, min of {n})")
+    for name, (value, unit, c) in stages.items():
+        print(f"  {name:<14} {value:12.6f} {unit:<5} (as measured, min of {c})")
+    if args.trace:
+        print(f"  trace overhead {layers['trace.overhead_s'][0]:+.3f} s per pass")
+        for layer, s in sorted(layer_self_s.items(), key=lambda kv: -kv[1]):
             print(f"  self {layer:<16} {s:10.4f} s")
     shown = layers if args.trace else e2e
     metrics = {k: {"value": v, "unit": u} for k, (v, u, _) in shown.items()}
@@ -288,40 +360,37 @@ def main(argv=None) -> int:
     return 0 if failed == 0 else 1
 
 
-def run_loop(args, cli, steps):
-    """Iterate the subcommand list for about ``args.seconds``.
+def run_loop(args, cli, steps, between_passes):
+    """Run passes of the subcommand list for about ``args.seconds``.
 
-    Another iteration starts while it would end nearer the target than
-    stopping now, judged by the last iteration's length.
+    Untraced, at least three passes run, so that each subcommand's median
+    drops the first pass's one-off costs.  Another pass starts while it
+    would end nearer the target than stopping now, judged by the last
+    pass's length.  ``between_passes`` runs after each pass, untimed.
     """
     tracer = tracing.Tracer() if args.trace else None
-    iterations, spans = [], []
-    start = time.perf_counter()
+    passes, spans = [], []
+    spent = 0.0
     while True:
         t = time.perf_counter()
-        traced = bool(args.trace) and len(iterations) % 2 == 1
-        if traced:
+        if tracer is not None:
             tracer.reset()
-            tracer.install()
-        try:
-            it = run_iteration(cli, steps, tracer if traced else None)
-        finally:
-            if traced:
-                tracer.uninstall()
-        it["traced"] = traced
-        if traced:
+        it = run_pass(cli, steps, tracer, parity=len(passes))
+        last = time.perf_counter() - t
+        spent += last
+        if tracer is not None:
             it["layers"] = tracing.layer_metrics(tracer.spans, tracer.counters,
                                                  it["bytes_written"])
             it["self_totals"] = tracing.layer_self_totals(tracer.spans)
             t0 = tracer.spans[0][1] if tracer.spans else 0.0
-            spans.extend({"iteration": len(iterations), "name": n, "start": s - t0,
+            spans.extend({"pass": len(passes), "name": n, "start": s - t0,
                           "end": e - t0, "parent": p, "case": c}
                          for n, s, e, p, c in tracer.spans)
-        iterations.append(it)
-        now = time.perf_counter()
-        needed = 2 if args.trace else 1
-        if len(iterations) >= needed and args.seconds - (now - start) < (now - t) / 2:
-            return iterations, spans
+        passes.append(it)
+        between_passes()
+        needed = 1 if args.trace else 3
+        if len(passes) >= needed and args.seconds - spent < last / 2:
+            return passes, spans
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ layer's public functions, at every firlock module attribute that holds
 them (``evaluate`` and ``decoys`` use ``from``-imports), plus
 ``PackedEvaluator.run`` and the ``GateNetlist`` JSON methods on their
 classes.  `Tracer.uninstall` puts the originals back, so an untraced
-iteration runs the unmodified program.
+subcommand runs the unmodified program.
 
 A span is ``[name, start, end, parent, case]``; ``parent`` indexes the
-enclosing span of the same iteration (-1 for a top-level span) and
+enclosing span of the same pass (-1 for a top-level span) and
 ``case`` is the (filter, p, dsm) case the benchmark was running.  Self
 time is a span's duration minus the durations of its direct children.
 """
@@ -21,8 +21,10 @@ import sys
 import time
 from collections import defaultdict
 
-# Gate kinds of firlock.netlist, for the static metric list.
-GATE_OPS = ("AND", "OR", "XOR", "NOT", "MUX2")
+from workloads import WORKLOADS
+
+# The key budgets whose extraction cost per constant is reported.
+SWEEP_P = tuple(c.p for c in WORKLOADS["attack-sweep"].cases)
 # Name of the span that covers work the tracer itself does after a call
 # (gate counting, byte counting); it belongs to no layer.
 OBSERVE = "trace.observe"
@@ -33,7 +35,7 @@ def _arg(args, kwargs, pos, name):
 
 
 # Observers run after the call's span closed.  They read the call's
-# arguments and result and add to the iteration's counters.
+# arguments and result and add to the pass's counters.
 
 def _obs_linprog(c, args, kwargs, result, dur):
     c["design.lps_solved"] += 1
@@ -133,7 +135,7 @@ METHODS = (
 
 
 class Tracer:
-    """In-memory spans and counters for one traced iteration at a time."""
+    """In-memory spans and counters for one traced pass at a time."""
 
     def __init__(self):
         self.spans = []
@@ -229,57 +231,59 @@ def self_times(spans):
     return [(end - start) - c for (_, start, end, _, _), c in zip(spans, child)]
 
 
-# Per-layer metrics reported by a traced run: name -> (unit, better).
-LAYER_METRICS = {
-    "design.bound_lps_s": ("s", "lower"),
-    "design.design_lp_s": ("s", "lower"),
-    "design.verify_s": ("s", "lower"),
-    "design.lps_solved": ("count", "lower"),
-    "design.lp_rows": ("count", "lower"),
-    "decoys.assign_s": ("s", "lower"),
-    "decoys.visits": ("count", "lower"),
-    "decoys.decoys_drawn": ("count", "lower"),
-    "decoys.us_per_decoy": ("us", "lower"),
-    "hamming.calls": ("count", "lower"),
-    "hamming.s": ("s", "lower"),
-    "tmcm.build_s": ("s", "lower"),
-    "tmcm.constants": ("count", "lower"),
-    "tmcm.simulate_s": ("s", "lower"),
-    "tmcm.simulate_calls": ("count", "lower"),
-    "netlist.lower_s": ("s", "lower"),
-    "netlist.gates": ("count", "lower"),
-    **{f"netlist.gates.{op}": ("count", "lower") for op in GATE_OPS},
-    "netlist.to_json_s": ("s", "lower"),
-    "netlist.from_json_s": ("s", "lower"),
-    "netlist.eval_s": ("s", "lower"),
-    "netlist.eval_passes": ("count", "lower"),
-    "netlist.eval_lanes": ("count", "lower"),
-    "verilog.emit_s": ("s", "lower"),
-    "verilog.bytes": ("bytes", "lower"),
-    "attack.infer_slices_s": ("s", "lower"),
-    "attack.extract_s": ("s", "lower"),
-    "attack.extract_bit_calls": ("count", "lower"),
-    "attack.constants": ("count", "lower"),
-    "attack.ms_per_constant.p58": ("ms", "lower"),
-    "attack.ms_per_constant.p87": ("ms", "lower"),
-    "attack.ms_per_constant.p116": ("ms", "lower"),
-    "attack.classify_s": ("s", "lower"),
-    "attack.vc": ("count", "lower"),
-    "attack.cdc": ("count", "lower"),
-    "attack.apc_log2": ("bits", "higher"),
-    "evaluate.sample_s": ("s", "lower"),
-    "evaluate.report_s": ("s", "lower"),
-    "evaluate.keys": ("count", "lower"),
-    "evaluate.ms_per_key": ("ms", "lower"),
-    "evaluate.curves_s": ("s", "lower"),
-    "evaluate.curves_bytes": ("bytes", "lower"),
-    "evaluate.min_band_excess": ("gain", "higher"),
-    "cli.design.self_s": ("s", "lower"),
-    "cli.obfuscate.self_s": ("s", "lower"),
-    "cli.attack.self_s": ("s", "lower"),
-    "cli.evaluate.self_s": ("s", "lower"),
-    "cli.bytes_written": ("bytes", "lower"),
-}
+def metric_units():
+    """The per-layer metrics a traced run reports: name -> unit."""
+    from firlock.netlist import OP_NAMES
+
+    return {
+        "design.bound_lps_s": "s",
+        "design.design_lp_s": "s",
+        "design.verify_s": "s",
+        "design.lps_solved": "count",
+        "design.lp_rows": "count",
+        "decoys.assign_s": "s",
+        "decoys.visits": "count",
+        "decoys.decoys_drawn": "count",
+        "decoys.us_per_decoy": "us",
+        "hamming.calls": "count",
+        "hamming.s": "s",
+        "tmcm.build_s": "s",
+        "tmcm.constants": "count",
+        "tmcm.simulate_s": "s",
+        "tmcm.simulate_calls": "count",
+        "netlist.lower_s": "s",
+        "netlist.gates": "count",
+        **{f"netlist.gates.{op}": "count" for op in OP_NAMES},
+        "netlist.to_json_s": "s",
+        "netlist.from_json_s": "s",
+        "netlist.eval_s": "s",
+        "netlist.eval_passes": "count",
+        "netlist.eval_lanes": "count",
+        "verilog.emit_s": "s",
+        "verilog.bytes": "bytes",
+        "attack.infer_slices_s": "s",
+        "attack.extract_s": "s",
+        "attack.extract_bit_calls": "count",
+        "attack.constants": "count",
+        **{f"attack.ms_per_constant.p{p}": "ms" for p in SWEEP_P},
+        "attack.classify_s": "s",
+        "attack.vc": "count",
+        "attack.cdc": "count",
+        "attack.apc_log2": "bits",
+        "evaluate.sample_s": "s",
+        "evaluate.report_s": "s",
+        "evaluate.keys": "count",
+        "evaluate.ms_per_key": "ms",
+        "evaluate.curves_s": "s",
+        "evaluate.curves_bytes": "bytes",
+        "evaluate.min_band_excess": "gain",
+        "cli.design.self_s": "s",
+        "cli.obfuscate.self_s": "s",
+        "cli.attack.self_s": "s",
+        "cli.evaluate.self_s": "s",
+        "cli.bytes_written": "bytes",
+    }
+
 
 # Span name -> per-layer self-time metric.
 _SPAN_METRIC = {
@@ -315,8 +319,8 @@ _SPAN_COUNT = {
 
 
 def layer_metrics(spans, counters, bytes_written):
-    """Every `LAYER_METRICS` value for one traced iteration."""
-    out = {name: 0.0 for name in LAYER_METRICS}
+    """Every `metric_units` value for one traced pass."""
+    out = dict.fromkeys(metric_units(), 0.0)
     for span, self_s in zip(spans, self_times(spans)):
         metric = _SPAN_METRIC.get(span[0])
         if metric is not None:
@@ -324,14 +328,14 @@ def layer_metrics(spans, counters, bytes_written):
         count = _SPAN_COUNT.get(span[0])
         if count is not None:
             out[count] += 1
-    for name in LAYER_METRICS:
+    for name in out:
         if name in counters:
             out[name] = counters[name]
     drawn = counters.get("decoys.decoys_drawn", 0)
     out["decoys.us_per_decoy"] = 1e6 * counters["decoys.assign_incl_s"] / drawn if drawn else 0.0
     keys = counters.get("evaluate.keys", 0)
     out["evaluate.ms_per_key"] = 1e3 * counters["evaluate.report_incl_s"] / keys if keys else 0.0
-    for p in (58, 87, 116):
+    for p in SWEEP_P:
         n = counters.get(f"attack.constants.p{p}", 0)
         out[f"attack.ms_per_constant.p{p}"] = (
             1e3 * counters[f"attack.extract_incl_s.p{p}"] / n if n else 0.0
