@@ -42,7 +42,6 @@ from firlock.decoys import (
     assign_decoy_single,
     assign_decoys,
     candidate_set,
-    check_indistinguishability,
 )
 from firlock.tmcm import (
     FoldedFilter,
@@ -64,7 +63,6 @@ from firlock.attack import (
     classify_dsm,
     compile_report,
     extract_constants,
-    impulse_attack,
     recover_coefficient,
 )
 from firlock.evaluate import (

@@ -38,7 +38,6 @@ __all__ = [
     "extract_bit",
     "extract_constants",
     "fit_hub_threshold",
-    "impulse_attack",
     "infer_key_slices",
     "recover_coefficient",
 ]
@@ -344,13 +343,3 @@ def compile_report(
         verdicts=tuple(verdicts),
         dsm_verdict=dsm_verdict,
     )
-
-
-def impulse_attack(run_filter, n_taps: int) -> list:
-    """Read the coefficients of an unprotected filter off its output.
-
-    Drives a constant-1 step from reset; the first output is h_0 and
-    successive differences yield every further tap.
-    """
-    y = list(run_filter([1] * n_taps))
-    return [int(y[0])] + [int(y[i] - y[i - 1]) for i in range(1, n_taps)]

@@ -3,7 +3,10 @@
 Stages hand data over through files; every JSON artifact echoes the
 run configuration (seeds included) so any output can be regenerated
 byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
-failure, 2 usage or I/O problems.
+failure, 2 usage or I/O problems, which include a missing or malformed
+input artifact, an out-of-range parameter (``--p`` below N, ``--ibw``
+below 1 or too wide for 63-bit outputs) and a key budget the decoy
+candidates cannot cover.  Every error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -37,45 +40,69 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path):
+def _load(path, what: str, parse):
+    """Read a JSON artifact and build it with ``parse``.
+
+    The single entry point for every input file: a missing file,
+    invalid JSON, or a document lacking a field or holding one of the
+    wrong type all surface as one-line ValueErrors (exit 2).
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"{what} file not found: {path}")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {what} lacks field {exc}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed {what} ({exc})") from exc
+
+
+def _parse_quant(doc):
+    return fd.QuantizedFilter.from_json_dict(doc), doc.get("spec")
+
+
+def _parse_netlist(doc):
+    """A netlist carrying the ports and geometry the attack reads."""
+    nl = gn.GateNetlist.from_json_dict(doc)
+    missing = {"i", "k", "x"} - nl.inputs.keys() | {"N", "cbw", "ibw"} - nl.meta.keys()
+    if missing:
+        raise KeyError(", ".join(sorted(missing)))
+    return nl
+
+
+def _parse_secret(doc):
+    spec = fd.FilterSpec.from_json_dict(doc["spec"])
+    tmcm = tm.ObfuscatedTMCM.from_json_dict(doc["tmcm"])
+    key = tm.SecretKey.from_hex(doc["key_hex"], tmcm.key_widths)
+    return spec, tm.build_folded_filter(tmcm), key
 
 
 def _config_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def _run_design(spec: fd.FilterSpec, grid_density: float, verify_density: float):
+def _run_design(spec: fd.FilterSpec, grid_density: float):
     grid = fd.build_frequency_grid(spec, grid_density)
     coeffs = fd.design_coefficients(spec, grid)
     bounds = fd.coefficient_bounds(spec, grid)
-    qf = fd.quantize(coeffs, bounds, spec.Q)
-    vgrid = fd.build_frequency_grid(spec, verify_density)
-    report = fd.verify_spec(qf, spec, vgrid)
-    float_report = fd.verify_response(coeffs.h, spec, vgrid)
-    return grid, coeffs, bounds, qf, report, float_report
+    return coeffs, bounds, fd.quantize(coeffs, bounds, spec.Q)
 
 
 def cmd_design(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        print(f"error: spec file not found: {spec_path}", file=sys.stderr)
-        return 2
-    spec = fd.FilterSpec.from_file(spec_path)
+    spec = _load(args.spec, "spec", fd.FilterSpec.from_json_dict)
     config = _config_dict(args, ["spec", "grid_density", "verify_density", "out"])
-    try:
-        _, coeffs, bounds, qf, report, float_report = _run_design(
-            spec, args.grid_density, args.verify_density
-        )
-    except fd.InfeasibleSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    coeffs, bounds, qf = _run_design(spec, args.grid_density)
+    vgrid = fd.build_frequency_grid(spec, args.verify_density)
+    report = fd.verify_spec(qf, spec, vgrid)
+    float_report = fd.verify_response(coeffs.h, spec, vgrid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = spec_path.stem
+    stem = Path(args.spec).stem
     _write_json(
         out / f"{stem}.float.json",
         {
@@ -112,16 +139,7 @@ def _obfuscate(qf, dsm, p, ibw, seed):
 
 
 def cmd_obfuscate(args) -> int:
-    quant_path = Path(args.quant)
-    if not quant_path.is_file():
-        print(f"error: quantized filter file not found: {quant_path}", file=sys.stderr)
-        return 2
-    doc = _read_json(quant_path)
-    qf = fd.QuantizedFilter.from_json_dict(doc)
-    spec_dict = doc.get("spec")
-    if args.p < qf.N:
-        print(f"error: p must be at least N ({qf.N})", file=sys.stderr)
-        return 2
+    qf, spec_dict = _load(args.quant, "quantized filter", _parse_quant)
     config = _config_dict(args, ["quant", "dsm", "p", "ibw", "seed_obfuscate", "out"])
     dsm = dc.DecoyMethod.parse(args.dsm)
     da, tmcm, key, nl = _obfuscate(qf, dsm, args.p, args.ibw, args.seed_obfuscate)
@@ -149,27 +167,26 @@ def cmd_obfuscate(args) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
-    nl_path = Path(args.netlist)
-    if not nl_path.is_file():
-        print(f"error: netlist file not found: {nl_path}", file=sys.stderr)
-        return 2
-    config = _config_dict(args, ["netlist", "seed_attack", "ground_truth", "out"])
-    nl = gn.GateNetlist.from_json_dict(_read_json(nl_path))
-    try:
-        recovered = atk.extract_constants(nl, seed=args.seed_attack)
-    except (atk.NoConsistentBit, atk.VerificationMismatch, atk.ExtractionAnomaly) as exc:
-        print(f"error: extraction failed: {exc}", file=sys.stderr)
-        return 1
+def _attack(nl, seed, truth):
+    """Extraction, decoy-method verdict (None if inconclusive), report."""
+    recovered = atk.extract_constants(nl, seed=seed)
     try:
         verdict = atk.classify_dsm(recovered)
     except atk.InconclusiveClassification:
         verdict = None
+    report = atk.compile_report(recovered, ground_truth=truth, dsm_verdict=verdict)
+    return recovered, verdict, report
+
+
+def cmd_attack(args) -> int:
+    config = _config_dict(args, ["netlist", "seed_attack", "ground_truth", "out"])
+    nl = _load(args.netlist, "netlist", _parse_netlist)
     truth = None
     if args.ground_truth:
-        secret = _read_json(Path(args.ground_truth))
-        truth = secret["quantized"]["coeffs"]
-    report = atk.compile_report(recovered, ground_truth=truth, dsm_verdict=verdict)
+        truth = _load(
+            args.ground_truth, "secret assignment", lambda d: d["quantized"]["coeffs"]
+        )
+    recovered, verdict, report = _attack(nl, args.seed_attack, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "recovered.json", {**recovered.to_json_dict(), "run_config": config})
@@ -180,23 +197,11 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def _rebuild_from_secret(doc):
-    spec = fd.FilterSpec.from_json_dict(doc["spec"])
-    tmcm = tm.ObfuscatedTMCM.from_json_dict(doc["tmcm"])
-    key = tm.SecretKey.from_hex(doc["key_hex"], tmcm.key_widths)
-    return spec, tm.build_folded_filter(tmcm), key
-
-
 def cmd_evaluate(args) -> int:
-    secret_path = Path(args.secret)
-    if not secret_path.is_file():
-        print(f"error: secret assignment file not found: {secret_path}", file=sys.stderr)
-        return 2
     config = _config_dict(
         args, ["secret", "keys", "max_hd", "seed_eval", "curve_points", "verify_density", "out"]
     )
-    doc = _read_json(secret_path)
-    spec, filt, key = _rebuild_from_secret(doc)
+    spec, filt, key = _load(args.secret, "secret assignment", _parse_secret)
     wrong = []
     if args.keys > 0:
         wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
@@ -221,23 +226,13 @@ def cmd_bench(args) -> int:
     rows = []
     for index in BENCH_FILTERS:
         spec = fd.FilterSpec.from_json_dict(json.loads(bundled_spec_text(index)))
-        grid = fd.build_frequency_grid(spec, args.grid_density)
-        coeffs = fd.design_coefficients(spec, grid)
-        bounds = fd.coefficient_bounds(spec, grid)
-        qf = fd.quantize(coeffs, bounds, spec.Q)
+        _, _, qf = _run_design(spec, args.grid_density)
         p = BENCH_KEY_BITS[index]
         for method in methods:
             da, tmcm, key, nl = _obfuscate(
                 qf, dc.DecoyMethod.parse(method), p, args.ibw, args.seed_obfuscate
             )
-            recovered = atk.extract_constants(nl, seed=args.seed_attack)
-            try:
-                verdict = atk.classify_dsm(recovered)
-            except atk.InconclusiveClassification:
-                verdict = None
-            report = atk.compile_report(
-                recovered, ground_truth=qf.coeffs, dsm_verdict=verdict
-            )
+            _, verdict, report = _attack(nl, args.seed_attack, qf.coeffs)
             filt = tm.build_folded_filter(tmcm)
             wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
             wrong += ev.single_slice_corruptions(key)
@@ -324,10 +319,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except fd.InfeasibleSpec as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (atk.NoConsistentBit, atk.VerificationMismatch, atk.ExtractionAnomaly) as exc:
+        print(f"error: extraction failed: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError, dc.InsufficientCandidates, dc.EmptyCandidateSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

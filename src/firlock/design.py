@@ -18,7 +18,6 @@ scaling with 2**Q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -116,11 +115,6 @@ class FilterSpec:
             ds=d["ds"],
             Q=d["Q"],
         )
-
-    @classmethod
-    def from_file(cls, path) -> "FilterSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,6 +219,20 @@ def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
     return A, b
 
 
+def _solve_lp(c, A, b, bounds, infeasible: str):
+    """Minimize ``c @ x`` subject to ``A x <= b`` and the variable box.
+
+    Raises `InfeasibleSpec` (with message ``infeasible``) when the
+    constraints admit no point, RuntimeError on any other solver failure.
+    """
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
+    if res.status == 2:
+        raise InfeasibleSpec(infeasible)
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+    return res
+
+
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
     """Solve the margin-maximizing design LP for the half coefficients.
 
@@ -241,13 +249,10 @@ def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficien
     c = np.zeros(n_h + 1)
     c[-1] = -1.0
     bounds = [(-1.0, 1.0)] * n_h + [(0.0, min(spec.dp, spec.ds))]
-    res = linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
-    if res.status == 2:
-        raise InfeasibleSpec(
-            f"no length-{spec.N} {spec.band_type} filter satisfies the spec on this grid"
-        )
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+    res = _solve_lp(
+        c, A_lp, b, bounds,
+        f"no length-{spec.N} {spec.band_type} filter satisfies the spec on this grid",
+    )
     h = res.x[:n_h]
     residual = float(np.max(A @ h - b))
     if residual > LP_RESIDUAL_TOL:
@@ -281,20 +286,13 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     bounds = [(-1.0, 1.0)] * (M + 1)
     lower = np.empty(M + 1)
     upper = np.empty(M + 1)
+    infeasible = "bound LP infeasible; design the filter first"
     for i in range(M + 1):
         c = np.zeros(M + 1)
         c[i] = 1.0
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
-        if res.status == 2:
-            raise InfeasibleSpec("bound LP infeasible; design the filter first")
-        if res.status != 0:
-            raise RuntimeError(f"bound LP failed with status {res.status}: {res.message}")
-        lower[i] = res.fun
+        lower[i] = _solve_lp(c, A, b, bounds, infeasible).fun
         c[i] = -1.0
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
-        if res.status != 0:
-            raise RuntimeError(f"bound LP failed with status {res.status}: {res.message}")
-        upper[i] = -res.fun
+        upper[i] = -_solve_lp(c, A, b, bounds, infeasible).fun
     return BoundSet(lower=lower, upper=upper)
 
 

@@ -112,7 +112,10 @@ def zpfr_under_key(filt: FoldedFilter, key, w, q_scale: int) -> np.ndarray:
     zero-phase plot can show.  ``q_scale`` is the quantization exponent
     Q of the underlying design.
     """
-    taps = effective_coefficients(filt, key)
+    return _symmetric_zpfr(effective_coefficients(filt, key), w, q_scale)
+
+
+def _symmetric_zpfr(taps: np.ndarray, w, q_scale: int) -> np.ndarray:
     sym = (taps + taps[::-1]) / 2.0
     M = (len(taps) - 1) // 2
     return response_matrix(w, M) @ (sym[: M + 1] / (1 << q_scale))
@@ -208,7 +211,7 @@ def behavior_report(
             max_stopband_dev=stop_dev,
             band_excess=float(excess),
             violates=bool(excess > tol),
-            curve=zpfr_under_key(filt, key, curve_w, spec.Q),
+            curve=_symmetric_zpfr(taps, curve_w, spec.Q),
         )
 
     entries = [audit(secret, True)] + [audit(k, False) for k in wrong_keys]

@@ -40,15 +40,13 @@ class GateNetlist:
 
     ``inputs`` maps port name to net ids LSB-first; ``outputs`` lists
     the product bits LSB-first.  ``meta`` records the port geometry
-    (N, cbw, ibw); ``names`` is an optional debug map of net id to
-    label.
+    (N, cbw, ibw, p).
     """
 
     inputs: dict
     outputs: list
     gates: list
     meta: dict = field(default_factory=dict)
-    names: dict = field(default_factory=dict)
 
     @property
     def n_input_bits(self) -> int:
@@ -99,7 +97,9 @@ class GateNetlist:
     def from_json_dict(cls, d: dict) -> "GateNetlist":
         gates = []
         for g in d["gates"]:
-            code = _OP_CODES[g["op"]]
+            code = _OP_CODES.get(g["op"])
+            if code is None:
+                raise ValueError(f"unknown gate op {g['op']!r}")
             if code == OP_MUX2:
                 gates.append((code, g["a"], g["b"], g["s"]))
             elif code == OP_NOT:
@@ -130,7 +130,6 @@ class NetlistBuilder:
     def __init__(self):
         self.inputs = {}
         self.gates = []
-        self.names = {}
         self._cache = {}
         self._not_of = {CONST0: CONST1, CONST1: CONST0}
         self._n_inputs = 0
@@ -141,8 +140,6 @@ class NetlistBuilder:
         ids = [2 + self._n_inputs + b for b in range(width)]
         self._n_inputs += width
         self.inputs[name] = ids
-        for b, nid in enumerate(ids):
-            self.names[nid] = f"{name}[{b}]"
         return ids
 
     def const(self, value) -> int:
@@ -223,15 +220,12 @@ class NetlistBuilder:
         carry = self.or_(self.and_(a, b), self.and_(c, axb))
         return total, carry
 
-    def build(self, outputs, meta=None, output_name: str = "y") -> GateNetlist:
-        for b, nid in enumerate(outputs):
-            self.names.setdefault(nid, f"{output_name}[{b}]")
+    def build(self, outputs, meta=None) -> GateNetlist:
         nl = GateNetlist(
             inputs=self.inputs,
             outputs=list(outputs),
             gates=self.gates,
             meta=dict(meta or {}),
-            names=self.names,
         )
         nl.validate()
         return nl

@@ -30,7 +30,6 @@ __all__ = [
     "clog2",
     "reference_convolution",
     "simulate_filter",
-    "timing_signal",
     "tmcm_multiply",
     "tmcm_select",
 ]
@@ -103,7 +102,9 @@ class ObfuscatedTMCM:
     ``mux_tables[i]`` is a permutation of {coefficient i} and its
     decoys; ``cbw`` is the two's-complement width every stored constant
     fits in (one sign bit on top of the magnitude width), and ``ibw``
-    the width of the multiplier's variable input.
+    the width of the multiplier's variable input.  The folded filter's
+    output word, ``cbw + ibw + clog2(N)`` bits, must fit the 63 bits
+    that simulation and extraction compute in.
     """
 
     N: int
@@ -114,6 +115,14 @@ class ObfuscatedTMCM:
     seed: int
 
     def __post_init__(self):
+        if self.ibw < 1:
+            raise ValueError(f"input bit-width ibw must be at least 1, got {self.ibw}")
+        width = self.cbw + self.ibw + clog2(self.N)
+        if width > 63:
+            raise ValueError(
+                f"output width cbw + ibw + clog2(N) = {width} exceeds 63 bits; "
+                f"ibw may be at most {self.ibw - (width - 63)} here"
+            )
         for i, table in enumerate(self.mux_tables):
             if len(table) != (1 << self.key_widths[i]):
                 raise ValueError(f"table {i} size is not 2**width")
@@ -233,12 +242,6 @@ def build_folded_filter(tmcm: ObfuscatedTMCM) -> FoldedFilter:
     )
 
 
-def timing_signal(filt: FoldedFilter, n_cycles: int) -> list:
-    """TS per clock cycle: one pulse on the last cycle of each sample."""
-    N = filt.tmcm.N
-    return [(c % N) == N - 1 for c in range(n_cycles)]
-
-
 def simulate_filter(filt: FoldedFilter, key, inputs) -> np.ndarray:
     """Run the folded filter; one output per input sample.
 
@@ -249,8 +252,6 @@ def simulate_filter(filt: FoldedFilter, key, inputs) -> np.ndarray:
     """
     tmcm = filt.tmcm
     N = tmcm.N
-    if filt.output_width > 63:
-        raise ValueError("simulation uses 64-bit accumulators; output width must stay below 64")
     bits = _key_bits(key)
     consts = np.array([tmcm_select(tmcm, i, bits) for i in range(N)], dtype=np.int64)
     half = 1 << (tmcm.ibw - 1)

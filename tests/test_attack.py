@@ -12,13 +12,12 @@ from firlock.attack import (
     extract_bit,
     extract_constants,
     fit_hub_threshold,
-    impulse_attack,
     infer_key_slices,
     recover_coefficient,
 )
 from firlock.decoys import DecoyMethod, assign_decoys, candidate_set
 from firlock.netlist import PackedEvaluator, lower_to_gates
-from firlock.tmcm import build_tmcm, reference_convolution, simulate_filter
+from firlock.tmcm import build_tmcm
 
 from conftest import ATTACK_SEED, make_quantized
 
@@ -235,21 +234,3 @@ def test_report_no_resolution_keeps_full_keyspace():
     assert report.vc == 0
     assert report.apc_log2 == 2
 
-
-# --- impulse probe on an unprotected filter ---------------------------------
-
-def test_impulse_attack_recovers_taps():
-    coeffs = [3, -2, 5]
-    run = lambda xs: reference_convolution(coeffs, xs)
-    assert impulse_attack(run, 3) == coeffs
-
-
-def test_impulse_attack_zero_filter():
-    run = lambda xs: reference_convolution([0, 0, 0, 0], xs)
-    assert impulse_attack(run, 4) == [0, 0, 0, 0]
-
-
-def test_impulse_attack_on_folded_reference(built):
-    b = built(1, DecoyMethod.HDRD)
-    run = lambda xs: simulate_filter(b.filt, b.secret, xs)
-    assert impulse_attack(run, 29) == list(b.design.qf.coeffs)

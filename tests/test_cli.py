@@ -1,11 +1,15 @@
 """Command line pipeline: files in, files out, exit codes, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import firlock
 from firlock.cli import bundled_spec_text, main
 
 
@@ -168,3 +172,73 @@ def test_pipeline_rerun_byte_identical(tmp_path, spec_file):
     run(tmp_path)
     for rel, blob in snapshot.items():
         assert (tmp_path / rel).read_bytes() == blob, rel
+
+
+# --- one-line failures at the boundary ----------------------------------------
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _without(path: Path, dest: Path, *keys) -> Path:
+    doc = json.loads(path.read_text())
+    for key in keys:
+        del doc[key]
+    dest.write_text(json.dumps(doc), "utf-8")
+    return dest
+
+
+def test_obfuscate_quant_missing_field_exit_2(tmp_path, design_dir, capsys):
+    bad = _without(design_dir / "filter1.quant.json", tmp_path / "q.json", "bounds_u")
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bounds_u" in _one_line_error(capsys)
+
+
+def test_evaluate_secret_missing_field_exit_2(tmp_path, obfuscate_dir, capsys):
+    bad = _without(obfuscate_dir / "secret-assignment.json", tmp_path / "s.json", "tmcm")
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "tmcm" in _one_line_error(capsys)
+
+
+def test_attack_malformed_netlist_exit_2(tmp_path, obfuscate_dir, capsys):
+    doc = json.loads((obfuscate_dir / "netlist.json").read_text())
+    del doc["meta"]["cbw"]
+    bad = tmp_path / "n.json"
+    bad.write_text(json.dumps(doc), "utf-8")
+    assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 2
+    assert "lacks field 'cbw'" in _one_line_error(capsys)
+    doc["meta"]["cbw"] = 14
+    doc["gates"][0]["op"] = "NAND"
+    bad.write_text(json.dumps(doc), "utf-8")
+    assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 2
+    assert "unknown gate op 'NAND'" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("ibw", ["0", "60"])
+def test_obfuscate_ibw_out_of_range_exit_2(tmp_path, design_dir, capsys, ibw):
+    rc = main([
+        "obfuscate", "--quant", str(design_dir / "filter1.quant.json"),
+        "--p", "32", "--ibw", ibw, "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "ibw" in _one_line_error(capsys)
+    assert not (tmp_path / "netlist.json").exists()
+
+
+def test_obfuscate_impossible_budget_exit_2(tmp_path, design_dir, capsys):
+    rc = main([
+        "obfuscate", "--quant", str(design_dir / "filter1.quant.json"),
+        "--p", "400", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "candidates" in _one_line_error(capsys)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, firlock.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from indistinguishability import check_indistinguishability
 
+import firlock.decoys
 from firlock.decoys import (
     DecoyAssignment,
     DecoyMethod,
@@ -11,7 +13,6 @@ from firlock.decoys import (
     assign_decoy_single,
     assign_decoys,
     candidate_set,
-    check_indistinguishability,
 )
 from firlock.hamming import hamming_distance
 
@@ -135,13 +136,36 @@ def test_round_structure_large(designed):
     assert sum(1 for n in da.nd if n == 1) == 82
 
 
-def test_visit_order_trace():
+def test_visit_order_trace(monkeypatch):
+    qf = small_qf(4)
+    index_of = {int(c): i for i, c in enumerate(qf.coeffs)}
     trace = []
-    assign_decoys(small_qf(4), 6, DecoyMethod.RD, seed=1, trace=trace)
+
+    def recording(nod, h_i, *args):
+        trace.append((nod.bit_length() - 1, index_of[h_i], nod))
+        return assign_decoy_single(nod, h_i, *args)
+
+    monkeypatch.setattr(firlock.decoys, "assign_decoy_single", recording)
+    assign_decoys(qf, 6, DecoyMethod.RD, seed=1)
     assert trace == [
         (0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1),
         (1, 0, 2), (1, 1, 2),
     ]
+
+
+def test_budget_checked_before_any_draw(monkeypatch):
+    # Each coefficient has 15 - 3 = 12 four-bit candidates.  p = 9 visits
+    # each three times (7 decoys); at p = 10 coefficient 0 is visited a
+    # fourth time and would need 2**4 - 1 = 15.
+    qf = make_quantized([5, 9, 12], [4, 8, 11], [6, 10, 13], Q=4)
+    assert assign_decoys(qf, 9, DecoyMethod.RD, seed=0).nd == (7, 7, 7)
+    visits = []
+    monkeypatch.setattr(
+        firlock.decoys, "assign_decoy_single", lambda *args: visits.append(args)
+    )
+    with pytest.raises(InsufficientCandidates, match="coefficient 0"):
+        assign_decoys(qf, 10, DecoyMethod.RD, seed=0)
+    assert visits == []
 
 
 def test_p_below_n_rejected():

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import firlock.evaluate
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.design import quantization_deviation_bound
 from firlock.evaluate import (
@@ -15,7 +16,7 @@ from firlock.evaluate import (
     single_slice_corruptions,
     zpfr_under_key,
 )
-from firlock.tmcm import build_folded_filter, build_tmcm, tmcm_select
+from firlock.tmcm import build_folded_filter, build_tmcm, simulate_filter, tmcm_select
 
 from conftest import EVAL_SEED, make_quantized
 
@@ -141,6 +142,23 @@ def test_report_correct_key_only(built):
     assert report.entries[0].is_secret
     assert not report.entries[0].violates
     assert report.entries[0].symmetric
+
+
+def test_report_simulates_each_key_once(built, monkeypatch):
+    b = built(1, DecoyMethod.HDRD)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return simulate_filter(*args)
+
+    monkeypatch.setattr(firlock.evaluate, "simulate_filter", counting)
+    keys = single_slice_corruptions(b.secret)[:5]
+    report = behavior_report(b.filt, b.secret, b.design.spec, keys, curve_points=64)
+    assert len(calls) == len(report.entries) == 6
+    monkeypatch.undo()
+    for key, e in zip([b.secret] + keys, report.entries):
+        assert np.array_equal(e.curve, zpfr_under_key(b.filt, key, report.curve_w, b.design.spec.Q))
 
 
 def test_report_wrong_keys_flagged_with_full_chain(built):

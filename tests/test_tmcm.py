@@ -10,7 +10,6 @@ from firlock.tmcm import (
     build_tmcm,
     reference_convolution,
     simulate_filter,
-    timing_signal,
     tmcm_multiply,
     tmcm_select,
 )
@@ -127,13 +126,6 @@ def test_folded_geometry(built):
     assert filt.register_count == 28
     assert filt.counter_width == 5
     assert filt.output_width == b.tmcm.cbw + b.tmcm.ibw + 5
-
-
-def test_timing_signal_period(small_build):
-    _, _, tmcm, _ = small_build
-    filt = build_folded_filter(tmcm)
-    ts = timing_signal(filt, 9)
-    assert ts == [False, False, True] * 3
 
 
 def test_step_response_prefix_sums(small_build):
