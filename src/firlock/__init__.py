@@ -34,7 +34,6 @@ from firlock.design import (
     verify_spec,
 )
 from firlock.decoys import (
-    CandidateSet,
     DecoyAssignment,
     DecoyMethod,
     EmptyCandidateSet,

@@ -3,10 +3,12 @@
 Stages hand data over through files; every JSON artifact echoes the
 run configuration (seeds included) so any output can be regenerated
 byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
-failure, 2 usage or I/O problems, which include a missing or malformed
-input artifact, an out-of-range parameter (``--p`` below N, ``--ibw``
-below 1 or too wide for 63-bit outputs) and a key budget the decoy
-candidates cannot cover.  Every error is reported in one line on stderr.
+failure, 2 usage or I/O problems, which include a missing, malformed or
+self-contradicting input artifact, an out-of-range parameter (``--keys``
+below 0, ``--p`` below N, ``--ibw`` below 1 or too wide for 63-bit
+outputs, a magnitude width beyond the decoy candidate limit) and a key
+budget the decoy candidates cannot cover.  Every error is reported in
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -76,9 +78,14 @@ def _parse_netlist(doc):
 
 
 def _parse_secret(doc):
+    """Spec, folded filter and key of a secret assignment that agree with each other."""
     spec = fd.FilterSpec.from_json_dict(doc["spec"])
     tmcm = tm.ObfuscatedTMCM.from_json_dict(doc["tmcm"])
+    if spec.N != tmcm.N:
+        raise ValueError(f"secret assignment: spec has N={spec.N} but its TMCM has {tmcm.N} taps")
     key = tm.SecretKey.from_hex(doc["key_hex"], tmcm.key_widths)
+    if not 0 <= key.bits < 1 << key.p:
+        raise ValueError(f"secret assignment: key_hex does not fit the TMCM's {key.p} key bits")
     return spec, tm.build_folded_filter(tmcm), key
 
 
@@ -202,9 +209,7 @@ def cmd_evaluate(args) -> int:
         args, ["secret", "keys", "max_hd", "seed_eval", "curve_points", "verify_density", "out"]
     )
     spec, filt, key = _load(args.secret, "secret assignment", _parse_secret)
-    wrong = []
-    if args.keys > 0:
-        wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
+    wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
     report = ev.behavior_report(
         filt, key, spec, wrong,
         grid_density=args.verify_density, curve_points=args.curve_points,

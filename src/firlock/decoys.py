@@ -15,6 +15,9 @@ methods are supported:
   is within one of the coefficient's.
 * ``hdrd`` -- ``hd`` for a coefficient's first and only decoy, ``rd``
   for everything after.
+
+Each coefficient's legal decoys are one ascending int64 array; a visit
+marks the used ones once in a boolean mask and clears one entry per pick.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from firlock.design import QuantizedFilter, magnitude_bitwidth
 from firlock.hamming import hamming_to
 
 __all__ = [
-    "CandidateSet",
+    "MAX_CANDIDATE_BITS",
     "DecoyAssignment",
     "DecoyMethod",
     "EmptyCandidateSet",
@@ -37,6 +40,9 @@ __all__ = [
     "assign_decoys",
     "candidate_set",
 ]
+
+# Widest magnitude for which candidate arrays are built (2**24 int64 values: 128 MB).
+MAX_CANDIDATE_BITS = 24
 
 
 class DecoyMethod(str, Enum):
@@ -57,95 +63,28 @@ class InsufficientCandidates(Exception):
     """Fewer unused candidates remain than decoys requested."""
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Legal decoy values as a union of closed integer intervals.
-
-    Kept in interval form so membership, counting, and uniform sampling
-    never require materializing the full set; `values` does materialize
-    it for the Hamming-distance scans, which only ever run on sets
-    bounded by 2**mbw entries.
-    """
-
-    intervals: tuple
-
-    @property
-    def size(self) -> int:
-        return sum(b - a + 1 for a, b in self.intervals)
-
-    def __contains__(self, v) -> bool:
-        v = int(v)
-        return any(a <= v <= b for a, b in self.intervals)
-
-    def values(self) -> np.ndarray:
-        if not self.intervals:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b in self.intervals])
-
-    def sample(self, rng: np.random.Generator) -> int:
-        r = int(rng.integers(0, self.size))
-        for a, b in self.intervals:
-            n = b - a + 1
-            if r < n:
-                return a + r
-            r -= n
-        raise AssertionError("interval bookkeeping is inconsistent")
-
-    def restrict_magnitude(self, lo: int, hi: int) -> "CandidateSet":
-        """Subset with |v| in [lo, hi]."""
-        out = []
-        for a, b in self.intervals:
-            if a > 0:
-                aa, bb = max(a, lo), min(b, hi)
-            else:
-                aa, bb = max(a, -hi), min(b, -lo)
-            if aa <= bb:
-                out.append((aa, bb))
-        return CandidateSet(intervals=tuple(out))
-
-
-def candidate_set(h_i: int, l_i: int, u_i: int, mbw: int) -> CandidateSet:
+def candidate_set(h_i: int, l_i: int, u_i: int, mbw: int) -> np.ndarray:
     """All legal decoy values for a coefficient with bounds [l_i, u_i].
 
     A candidate shares the coefficient's sign (a zero coefficient counts
     as positive), has magnitude in [1, 2**mbw - 1], and lies strictly
-    outside the bound interval.
+    outside the bound interval.  The values come back as one ascending
+    int64 array, so ``mbw`` may not exceed `MAX_CANDIDATE_BITS`.
     """
     if not (l_i <= h_i <= u_i):
         raise ValueError("coefficient must lie within its bounds")
-    top = (1 << mbw) - 1
-    lo, hi = (1, top) if h_i >= 0 else (-top, -1)
-    intervals = []
-    if l_i - 1 >= lo:
-        intervals.append((lo, min(hi, l_i - 1)))
-    if u_i + 1 <= hi:
-        intervals.append((max(lo, u_i + 1), hi))
-    cs = CandidateSet(intervals=tuple(intervals))
-    if cs.size == 0:
+    if mbw > MAX_CANDIDATE_BITS:
+        raise ValueError(
+            f"mbw={mbw} exceeds the {MAX_CANDIDATE_BITS}-bit limit of the decoy candidates"
+        )
+    top = 1 << mbw
+    vals = np.arange(1, top, dtype=np.int64) if h_i >= 0 else np.arange(1 - top, 0, dtype=np.int64)
+    cands = vals[(vals < l_i) | (vals > u_i)]
+    if cands.size == 0:
         raise EmptyCandidateSet(
             f"no sign-matching value of at most {mbw} bits lies outside [{l_i}, {u_i}]"
         )
-    return cs
-
-
-def _pick_min_hamming(cands: CandidateSet, taken: set, h_i: int, rng) -> int:
-    vals = cands.values()
-    if taken:
-        vals = vals[~np.isin(vals, np.fromiter(taken, dtype=np.int64, count=len(taken)))]
-    dist = hamming_to(vals, h_i)
-    best = vals[dist == dist.min()]
-    return int(best[rng.integers(0, len(best))])
-
-
-def _pick_random_sliced(cands: CandidateSet, taken: set, h_i: int, mbw: int, rng) -> int:
-    b = magnitude_bitwidth(h_i)
-    lo_b, hi_b = max(1, b - 1), min(mbw, b + 1)
-    sliced = cands.restrict_magnitude(1 << (lo_b - 1), (1 << hi_b) - 1)
-    pool = sliced if sliced.size > sum(1 for t in taken if t in sliced) else cands
-    while True:
-        v = pool.sample(rng)
-        if v not in taken:
-            return v
+    return cands
 
 
 def assign_decoy_single(
@@ -167,25 +106,35 @@ def assign_decoy_single(
     if nod < 1:
         raise ValueError("nod must be at least 1")
     cands = candidate_set(int(h_i), int(l_i), int(u_i), mbw)
-    taken = set(int(v) for v in existing)
-    if cands.size - sum(1 for t in taken if t in cands) < nod:
+    existing = list(existing)
+    free = ~np.isin(cands, np.asarray(existing, dtype=np.int64))
+    remaining = int(np.count_nonzero(free))
+    if remaining < nod:
         raise InsufficientCandidates(
-            f"{nod} decoys requested but only "
-            f"{cands.size - sum(1 for t in taken if t in cands)} candidates remain"
+            f"{nod} decoys requested but only {remaining} candidates remain"
         )
     if dsm is DecoyMethod.HDRD:
-        mode = DecoyMethod.HD if (not taken and nod == 1) else DecoyMethod.RD
+        dsm = DecoyMethod.HD if (not existing and nod == 1) else DecoyMethod.RD
+    if dsm is DecoyMethod.HD:
+        dist = hamming_to(cands, h_i)
     else:
-        mode = dsm
+        # Candidates whose magnitude bit-width is within one of h_i's.
+        b = magnitude_bitwidth(h_i)
+        mags = np.abs(cands)
+        sliced = np.flatnonzero((mags >= 1 << max(b - 2, 0)) & (mags < 1 << (b + 1)))
     picked = []
     for _ in range(nod):
-        if mode is DecoyMethod.HD:
-            v = _pick_min_hamming(cands, taken, int(h_i), rng)
+        if dsm is DecoyMethod.HD:
+            pool = np.flatnonzero(free & (dist == dist[free].min()))
         else:
-            v = _pick_random_sliced(cands, taken, int(h_i), mbw, rng)
-        picked.append(v)
-        taken.add(v)
-    new_list = list(existing) + picked
+            pool = sliced if free[sliced].any() else np.arange(cands.size)
+        # hd pools hold only free values; rd redraws until one is free.
+        j = pool[rng.integers(0, pool.size)]
+        while not free[j]:
+            j = pool[rng.integers(0, pool.size)]
+        free[j] = False
+        picked.append(int(cands[j]))
+    new_list = existing + picked
     return len(new_list), new_list
 
 

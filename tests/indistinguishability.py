@@ -11,7 +11,6 @@ import numpy as np
 from scipy import stats
 
 from firlock.decoys import (
-    CandidateSet,
     DecoyMethod,
     assign_decoy_single,
     assign_decoys,
@@ -100,7 +99,8 @@ def check_indistinguishability(
             cands = candidate_set(h, l, u, qf.mbw)
             b = magnitude_bitwidth(h)
             lo_b, hi_b = max(1, b - 1), min(qf.mbw, b + 1)
-            sliced = cands.restrict_magnitude(1 << (lo_b - 1), (1 << hi_b) - 1)
+            mags = np.abs(cands)
+            sliced = cands[(mags >= 1 << (lo_b - 1)) & (mags <= (1 << hi_b) - 1)]
             pool = sliced if sliced.size else cands
             stat, pvalue = _uniformity_chi_square(first, pool)
             entry["kind"] = "chi-square"
@@ -111,13 +111,12 @@ def check_indistinguishability(
     return IndistinguishabilityReport(dsm=dsm, trials=trials, entries=tuple(entries))
 
 
-def _uniformity_chi_square(draws: np.ndarray, pool: CandidateSet, bins: int = 20):
-    """Chi-square GOF of draws against uniform over the candidate pool.
+def _uniformity_chi_square(draws: np.ndarray, vals: np.ndarray, bins: int = 20):
+    """Chi-square GOF of draws against uniform over the ascending pool ``vals``.
 
     The pool is split into up to ``bins`` near-equal-count value bins so
     the expected count per cell stays large even for wide pools.
     """
-    vals = pool.values()
     k = min(bins, len(vals))
     pos = np.searchsorted(vals, draws)
     idx_edges = np.linspace(0, len(vals), k + 1).astype(int)

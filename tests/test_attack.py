@@ -156,7 +156,7 @@ def test_hub_recovery_random_sets_mostly_undecided():
     hits = 0
     trials = 10_000
     for _ in range(trials):
-        vals = [cs.sample(rng) for _ in range(4)]
+        vals = [int(cs[rng.integers(0, cs.size)]) for _ in range(4)]
         if len(set(vals)) < 4:
             undecided += 1
             continue

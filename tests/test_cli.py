@@ -242,3 +242,47 @@ def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, firlock.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsys):
+    doc = json.loads((design_dir / "filter1.quant.json").read_text())
+    doc["mbw"] = 40
+    bad = tmp_path / "q.json"
+    bad.write_text(json.dumps(doc), "utf-8")
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "24-bit limit" in _one_line_error(capsys)
+
+
+def _edited_secret(obfuscate_dir: Path, dest: Path, edit) -> Path:
+    doc = json.loads((obfuscate_dir / "secret-assignment.json").read_text())
+    edit(doc)
+    dest.write_text(json.dumps(doc), "utf-8")
+    return dest
+
+
+def test_evaluate_secret_spec_n_mismatch_exit_2(tmp_path, obfuscate_dir, capsys):
+    bad = _edited_secret(obfuscate_dir, tmp_path / "s.json", lambda d: d["spec"].update(N=31))
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "N=31" in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
+
+
+def test_evaluate_secret_key_wider_than_p_exit_2(tmp_path, obfuscate_dir, capsys):
+    bad = _edited_secret(
+        obfuscate_dir, tmp_path / "s.json", lambda d: d.update(key_hex="ff" + d["key_hex"])
+    )
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "key_hex" in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
+
+
+def test_evaluate_negative_keys_exit_2(tmp_path, obfuscate_dir, capsys):
+    rc = main([
+        "evaluate", "--secret", str(obfuscate_dir / "secret-assignment.json"),
+        "--keys", "-3", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "non-negative" in _one_line_error(capsys)

@@ -1,11 +1,17 @@
 """Decoy engine: candidate sets, the three selection methods, round structure."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from indistinguishability import check_indistinguishability
 
 import firlock.decoys
 from firlock.decoys import (
+    MAX_CANDIDATE_BITS,
     DecoyAssignment,
     DecoyMethod,
     EmptyCandidateSet,
@@ -14,6 +20,7 @@ from firlock.decoys import (
     assign_decoys,
     candidate_set,
 )
+from firlock.design import magnitude_bitwidth
 from firlock.hamming import hamming_distance
 
 from conftest import DECOY_SEED, make_quantized
@@ -23,19 +30,19 @@ from conftest import DECOY_SEED, make_quantized
 
 def test_candidates_positive_with_exclusion():
     cs = candidate_set(7, 6, 8, mbw=4)
-    assert sorted(cs.values()) == [1, 2, 3, 4, 5] + list(range(9, 16))
+    assert cs.dtype == np.int64
+    assert cs.tolist() == [1, 2, 3, 4, 5] + list(range(9, 16))
 
 
 def test_candidates_zero_treated_positive():
     cs = candidate_set(0, -2, 2, mbw=4)
-    assert sorted(cs.values()) == list(range(3, 16))
+    assert cs.tolist() == list(range(3, 16))
 
 
 def test_candidates_negative_intervals():
     cs = candidate_set(-4915, -4920, -4910, mbw=13)
-    vals = cs.values()
-    assert vals.min() == -8191 and vals.max() == -1
-    assert not np.any((vals >= -4920) & (vals <= -4910))
+    assert cs[0] == -8191 and cs[-1] == -1 and np.all(np.diff(cs) > 0)
+    assert not np.any((cs >= -4920) & (cs <= -4910))
     assert cs.size == (8191 - 4921 + 1) + (4909 - 1 + 1)
 
 
@@ -45,12 +52,19 @@ def test_candidates_empty_raises():
         candidate_set(3, 1, 7, mbw=3)
 
 
+def test_candidates_wider_than_limit_rejected():
+    # Refused before the 2**40-entry array is allocated.
+    assert MAX_CANDIDATE_BITS == 24
+    with pytest.raises(ValueError, match="24-bit limit"):
+        candidate_set(5, 5, 5, mbw=40)
+
+
 def test_candidate_membership_and_sampling():
     cs = candidate_set(7, 6, 8, mbw=4)
     assert 5 in cs and 9 in cs and 7 not in cs and -3 not in cs
     rng = np.random.default_rng(0)
-    draws = {cs.sample(rng) for _ in range(200)}
-    assert draws <= set(cs.values().tolist())
+    draws = {int(cs[rng.integers(0, cs.size)]) for _ in range(200)}
+    assert draws <= set(cs.tolist())
     assert len(draws) > 5
 
 
@@ -105,9 +119,116 @@ def test_hd_minimality_against_enumeration():
     for _ in range(4):
         _, new = assign_decoy_single(1, h, lo, hi, taken, DecoyMethod.HD, rng, mbw)
         picked = new[-1]
-        remaining = [v for v in cs.values() if v not in taken]
+        remaining = [v for v in cs.tolist() if v not in taken]
         assert hamming_distance(picked, h) == min(hamming_distance(v, h) for v in remaining)
         taken = new
+
+
+# --- draw order against a restatement over intervals -----------------------
+
+def _restated_draws(nod, h, l, u, existing, dsm, rng, mbw):
+    """The decoy rules over intervals and a set of taken values.
+
+    Candidates are the sign-matching values of at most ``mbw`` bits
+    outside [l, u], in ascending order; a uniform draw over a union of
+    intervals takes the r-th value for r = rng.integers(0, size).
+    """
+    top = (1 << mbw) - 1
+    lo, hi = (1, top) if h >= 0 else (-top, -1)
+    intervals = [iv for iv in ((lo, min(hi, l - 1)), (max(lo, u + 1), hi)) if iv[0] <= iv[1]]
+    b = magnitude_bitwidth(h)
+    m_lo, m_hi = 1 << (max(1, b - 1) - 1), (1 << min(mbw, b + 1)) - 1
+    sliced = []
+    for a, z in intervals:
+        a, z = (max(a, m_lo), min(z, m_hi)) if a > 0 else (max(a, -m_hi), min(z, -m_lo))
+        if a <= z:
+            sliced.append((a, z))
+
+    def members(ivs):
+        return [v for a, z in ivs for v in range(a, z + 1)]
+
+    def sample(ivs):
+        r = int(rng.integers(0, sum(z - a + 1 for a, z in ivs)))
+        for a, z in ivs:
+            if r <= z - a:
+                return a + r
+            r -= z - a + 1
+
+    def distance(v):
+        return bin(abs(v) ^ abs(h)).count("1")
+
+    taken = set(existing)
+    if dsm is DecoyMethod.HDRD:
+        dsm = DecoyMethod.HD if not taken and nod == 1 else DecoyMethod.RD
+    picked = []
+    for _ in range(nod):
+        if dsm is DecoyMethod.HD:
+            free = [v for v in members(intervals) if v not in taken]
+            best = [v for v in free if distance(v) == min(map(distance, free))]
+            v = best[int(rng.integers(0, len(best)))]
+        else:
+            pool = sliced if any(v not in taken for v in members(sliced)) else intervals
+            v = sample(pool)
+            while v in taken:
+                v = sample(pool)
+        picked.append(v)
+        taken.add(v)
+    return picked
+
+
+@st.composite
+def single_visits(draw):
+    mbw = draw(st.integers(2, 8))
+    top = (1 << mbw) - 1
+    h = draw(st.integers(-top, top))
+    l = draw(st.integers(-top - 1, h))
+    u = draw(st.integers(h, top + 1))
+    signed = range(1, top + 1) if h >= 0 else range(-top, 0)
+    if all(l <= v <= u for v in signed):
+        # Bounds that cover every candidate leave none: shrink them to h.
+        l = u = h
+    cands = [v for v in signed if v < l or v > u]
+    existing = draw(st.lists(st.sampled_from(cands), unique=True, max_size=len(cands) - 1))
+    nod = draw(st.integers(1, len(cands) - len(existing)))
+    dsm = draw(st.sampled_from(list(DecoyMethod)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nod, h, l, u, existing, dsm, seed, mbw, cands
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_visits())
+def test_draws_match_interval_restatement(case):
+    nod, h, l, u, existing, dsm, seed, mbw, cands = case
+    nd, D = assign_decoy_single(
+        nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw
+    )
+    expected = _restated_draws(nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw)
+    assert D[: len(existing)] == existing
+    picks = D[len(existing):]
+    assert picks == expected
+    assert nd == len(D) == len(existing) + nod
+    assert len(set(picks)) == nod
+    assert set(picks) <= set(cands) and not set(picks) & set(existing)
+
+
+# sha256 of the sorted-key JSON of assign_decoys on filter 1 (seed
+# DECOY_SEED).  The deep rounds use up several rd bit-width slices, so
+# these also pin the fallback to the full candidate array.
+PINNED_ASSIGNMENTS = {
+    (174, "hd"): "bac319f4f595735da83959ef7d728c1efccfcc0d7614eff588ba784df515b55d",
+    (174, "rd"): "c5bd36c4deb3c34f21fae51853f6bc9061b86553c99b5c2507c7d3fb5a28aa07",
+    (174, "hdrd"): "7929feb59a020dd686ffbb71077fcf812aad984873a772b22d7eee7a5fbe767c",
+    (247, "hd"): "acf6c29f05064ac564a81e92e88b8f8ce028d696a415bb366c23bd35212e39eb",
+    (247, "rd"): "051bb604006084f5c2dac545013bb50f308196057517a7a9dd2b5689ea98e38c",
+    (247, "hdrd"): "730e4a5a98d5fc819cd3074ed141d632525b9686a8e01d93cb5331b05480690f",
+}
+
+
+@pytest.mark.parametrize("p, dsm", list(PINNED_ASSIGNMENTS))
+def test_deep_round_assignment_pinned(designed, p, dsm):
+    da = assign_decoys(designed(1).qf, p, DecoyMethod(dsm), seed=DECOY_SEED)
+    blob = json.dumps(da.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_ASSIGNMENTS[p, dsm]
 
 
 # --- full assignment (round structure) ----------------------------------
