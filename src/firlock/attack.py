@@ -7,8 +7,9 @@ proceeds in stages:
 1. key slice discovery: which key bits steer which primary select value
    (functional probing; the lowering is regular so this is reliable);
 2. LSB-first constant extraction: product bit j depends only on bits
-   0..j of the constant and of x, so each constant falls out one bit at
-   a time with an exhaustive check over the free low bits of x -- the
+   0..j of the constant and of x, so one netlist run per constant
+   observes every input the scan needs, and the bits are decided one at
+   a time by an exhaustive check over the free low bits of x -- the
    desk-scale equivalent of proving a miter bit unsatisfiable;
 3. decoy-method classification from the extracted constant sets;
 4. hub-based coefficient recovery: a constant whose Hamming distance to
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 
+HD_THRESHOLD = 0.5  # hub fraction from which `classify_dsm` says HD-like
+
+
 class NoConsistentBit(Exception):
     """Neither bit value matches: the block is not a constant multiplier here."""
 
@@ -57,10 +61,6 @@ class VerificationMismatch(Exception):
 
 class InconclusiveClassification(Exception):
     """Every constant set has two elements; no hub signal exists."""
-
-
-def _split_bits(value: int, width: int) -> list:
-    return [(value >> t) & 1 for t in range(width)]
 
 
 def infer_key_slices(nl: GateNetlist) -> list:
@@ -94,39 +94,27 @@ def infer_key_slices(nl: GateNetlist) -> list:
     return slices
 
 
-def extract_bit(ev: PackedEvaluator, i: int, k: int, partial: int, j: int) -> int:
-    """Bit j of the constant behind (i, k), given verified bits 0..j-1.
+def extract_bit(observed_j: int, xs_signed, partial: int, j: int) -> int:
+    """Bit j of a constant, given its verified bits 0..j-1.
 
-    Checks both candidate values against the netlist on every x with
-    bits 0..j free (2**(j+1) evaluations, all lanes of one packed run).
-    Exactly one candidate can survive for a true multiplication: the
-    two candidate products already differ at bit j for x = 1.
+    ``observed_j`` is the netlist's product bit j on lanes x = 0, 1, ...
+    (``xs_signed`` reads them as signed words).  Both candidate values
+    are checked on the first 2**(j+1) lanes, every x with bits 0..j free
+    (all lanes once j reaches ibw).  Exactly one can survive for a true
+    multiplication: the two candidate products differ at bit j for x = 1.
     """
-    nl = ev.nl
-    ibw = nl.meta["ibw"]
-    free = min(j + 1, ibw)  # beyond ibw the whole input is already free
-    width = 1 << free
-    xs = np.arange(width, dtype=np.uint64)
-    x_masks = pack_value_bits(xs, free) + [0] * (ibw - free)
-    i_masks = [const_mask(bit, width) for bit in _split_bits(i, len(nl.inputs["i"]))]
-    k_masks = [const_mask(bit, width) for bit in _split_bits(k, len(nl.inputs["k"]))]
-    observed = ev.run({"i": i_masks, "k": k_masks, "x": x_masks}, width, out_bits=(j,))[0]
-    # Sign-extend x when its top bit is free: for j >= ibw the product
-    # bit depends on x as a signed word, not on the raw pattern.
-    xs_signed = xs.astype(np.int64)
-    if free == ibw:
-        xs_signed -= (xs >> np.uint64(ibw - 1)).astype(np.int64) << ibw
+    xs = xs_signed[: 1 << (j + 1)]
+    observed = observed_j & ((1 << len(xs)) - 1)
     matches = []
     for b in (0, 1):
         c = partial | (b << j)
-        predicted = pack_bits(((np.int64(c) * xs_signed) >> np.int64(j)) & np.int64(1))
-        if predicted == observed:
+        if pack_bits(((np.int64(c) * xs) >> np.int64(j)) & np.int64(1)) == observed:
             matches.append(b)
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise NoConsistentBit(f"no constant bit {j} reproduces f_r for i={i}, k={k:#x}")
-    raise ExtractionAnomaly(f"both values of bit {j} match for i={i}, k={k:#x}")
+        raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
+    raise ExtractionAnomaly(f"both values of bit {j} match")
 
 
 def _spread(value: int, bit_positions) -> int:
@@ -164,54 +152,65 @@ class RecoveredConstantSets:
         }
 
 
-def extract_constants(
-    nl: GateNetlist, key_slices=None, samples: int = 1000, seed: int = 0
-) -> RecoveredConstantSets:
+def _held_masks(nl: GateNetlist, i: int, k: int, width: int) -> dict:
+    """Lane masks of ports i and k, each held at one value on all ``width`` lanes."""
+    return {
+        port: [const_mask((value >> t) & 1, width) for t in range(len(nl.inputs[port]))]
+        for port, value in (("i", i), ("k", k))
+    }
+
+
+def _signed(v, width: int):
+    """Two's-complement reading of ``width``-bit words (an int or an int64 array)."""
+    return v - ((v >> (width - 1)) << width)
+
+
+def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> RecoveredConstantSets:
     """Recover every constant behind every (i, key slice value) pair.
 
-    Runs the LSB-first extraction for all cbw bits, then spot-checks
-    each completed constant against the netlist on ``samples`` random
-    full-width inputs.
+    One netlist run per constant observes product bits 0..cbw-1 on
+    x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads;
+    after `extract_bit` has decided each bit, the constant is
+    spot-checked on ``samples`` random full-width inputs.
     """
-    meta = nl.meta
-    n, cbw, ibw = meta["N"], meta["cbw"], meta["ibw"]
+    cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     if cbw + ibw > 63:
         raise ValueError("extraction verification uses 64-bit arithmetic; cbw + ibw must stay below 64")
     ev = PackedEvaluator(nl)
-    if key_slices is None:
-        key_slices = infer_key_slices(nl)
+    slices = tuple(tuple(s) for s in infer_key_slices(nl))
     rng = np.random.default_rng(seed)
-    sign_bit = 1 << (cbw - 1)
-    prod_mask = np.uint64((1 << (cbw + ibw)) - 1)
+    width = 1 << min(cbw, ibw)
+    xs = np.arange(width, dtype=np.int64)
+    xs_signed = _signed(xs, ibw)
+    x_masks = pack_value_bits(xs, ibw)
     rows = []
-    for i in range(n):
-        bits_i = sorted(key_slices[i])
+    for i, bits_i in enumerate(slices):
         row = []
         for v in range(1 << len(bits_i)):
             k = _spread(v, bits_i)
+            masks = {**_held_masks(nl, i, k, width), "x": x_masks}
+            observed = ev.run(masks, width, out_bits=range(cbw))
             partial = 0
-            for j in range(cbw):
-                partial |= extract_bit(ev, i, k, partial, j) << j
-            _verify_constant(ev, i, k, partial, meta, rng, samples, prod_mask)
-            row.append(partial - (1 << cbw) if partial & sign_bit else partial)
+            try:
+                for j in range(cbw):
+                    partial |= extract_bit(observed[j], xs_signed, partial, j) << j
+            except (NoConsistentBit, ExtractionAnomaly) as exc:
+                raise type(exc)(f"{exc} for i={i}, k={k:#x}") from None
+            c = _signed(partial, cbw)
+            _verify_constant(ev, i, k, c, rng, samples)
+            row.append(c)
         rows.append(tuple(row))
-    return RecoveredConstantSets(R=tuple(rows), cbw=cbw, slices=tuple(tuple(sorted(s)) for s in key_slices))
+    return RecoveredConstantSets(R=tuple(rows), cbw=cbw, slices=slices)
 
 
-def _verify_constant(ev, i, k, partial, meta, rng, samples, prod_mask):
+def _verify_constant(ev, i, k, c, rng, samples):
     """Full-width random check of f(c, x) == f_r(i, k, x)."""
     nl = ev.nl
-    cbw, ibw = meta["cbw"], meta["ibw"]
+    cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     xs = rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64)
-    x_masks = pack_value_bits(xs, ibw)
-    i_masks = [const_mask(bit, samples) for bit in _split_bits(i, len(nl.inputs["i"]))]
-    k_masks = [const_mask(bit, samples) for bit in _split_bits(k, len(nl.inputs["k"]))]
-    observed = ev.run({"i": i_masks, "k": k_masks, "x": x_masks}, samples)
-    c_signed = partial - (1 << cbw) if partial & (1 << (cbw - 1)) else partial
-    x_signed = xs.astype(np.int64) - ((xs >> np.uint64(ibw - 1)).astype(np.int64) << ibw)
-    products = (np.int64(c_signed) * x_signed).astype(np.uint64) & prod_mask
-    expected = pack_value_bits(products, cbw + ibw)
-    if observed != expected:
+    observed = ev.run({**_held_masks(nl, i, k, samples), "x": pack_value_bits(xs, ibw)}, samples)
+    products = (np.int64(c) * _signed(xs.astype(np.int64), ibw)).astype(np.uint64)
+    if observed != pack_value_bits(products, cbw + ibw):
         raise VerificationMismatch(f"extracted constant fails spot check for i={i}, k={k:#x}")
 
 
@@ -240,22 +239,22 @@ class DsmVerdict:
         return {"label": self.label, "score": self.score, "features": dict(self.features)}
 
 
-def classify_dsm(R: RecoveredConstantSets, tau: int = 1, threshold: float = 0.5) -> DsmVerdict:
+def classify_dsm(R: RecoveredConstantSets) -> DsmVerdict:
     """Label the design HD-like or non-HD from hub-pattern evidence.
 
     The score is the fraction of multi-element sets containing a unique
-    Hamming hub; pair-level proximity of the two-element sets is kept
-    as a secondary feature (a hybrid method leaves hub-free multi sets
-    but near-neighbor pairs).  Raises `InconclusiveClassification` when
+    Hamming hub; pair-level proximity (distance at most 1) of the
+    two-element sets is kept as a secondary feature (a hybrid method
+    leaves hub-free multi sets but near-neighbor pairs).  Raises `InconclusiveClassification` when
     only two-element sets exist.
     """
     multi = [row for row in R.R if len(row) > 2]
     pairs = [row for row in R.R if len(row) == 2]
     if not multi:
         raise InconclusiveClassification("all constant sets are pairs; no hub signal")
-    hub_fraction = float(np.mean([hub_element(row, tau) is not None for row in multi]))
+    hub_fraction = float(np.mean([hub_element(row) is not None for row in multi]))
     pair_close = (
-        float(np.mean([hamming_distance(a, b) <= tau for a, b in pairs])) if pairs else 0.0
+        float(np.mean([hamming_distance(a, b) <= 1 for a, b in pairs])) if pairs else 0.0
     )
     widths = [
         float(np.std([abs(int(v)).bit_length() for v in row])) for row in R.R if len(row) > 1
@@ -266,7 +265,7 @@ def classify_dsm(R: RecoveredConstantSets, tau: int = 1, threshold: float = 0.5)
         "bitwidth_spread": float(np.mean(widths)),
         "n_multi_sets": len(multi),
     }
-    label = "HD-like" if hub_fraction >= threshold else "non-HD"
+    label = "HD-like" if hub_fraction >= HD_THRESHOLD else "non-HD"
     return DsmVerdict(label=label, score=hub_fraction, features=features)
 
 
@@ -313,11 +312,7 @@ class RecoveryReport:
 
 
 def compile_report(
-    R: RecoveredConstantSets,
-    verdicts=None,
-    ground_truth=None,
-    tau: int = 1,
-    dsm_verdict: DsmVerdict | None = None,
+    R: RecoveredConstantSets, ground_truth=None, dsm_verdict: DsmVerdict | None = None
 ) -> RecoveryReport:
     """Assemble vc / cdc / apc from the extraction and hub results.
 
@@ -325,8 +320,7 @@ def compile_report(
     data and the only secret-aware input in this module; everything
     else is computable by the attacker.
     """
-    if verdicts is None:
-        verdicts = [recover_coefficient(row, tau) for row in R.R]
+    verdicts = [recover_coefficient(row) for row in R.R]
     widths = [int(math.log2(len(row))) for row in R.R]
     p = sum(widths)
     vc = sum(1 for row in R.R if len(row) > 2)

@@ -4,7 +4,8 @@ Stages hand data over through files; every JSON artifact echoes the
 run configuration (seeds included) so any output can be regenerated
 byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
 failure, 2 usage or I/O problems, which include a missing, malformed or
-self-contradicting input artifact, an out-of-range parameter (``--keys``
+self-contradicting input artifact (such as a netlist whose ``meta``
+geometry does not match its ports), an out-of-range parameter (``--keys``
 below 0, ``--p`` below N, ``--ibw`` below 1 or too wide for 63-bit
 outputs, a magnitude width beyond the decoy candidate limit) and a key
 budget the decoy candidates cannot cover.  Every error is reported in
@@ -69,11 +70,25 @@ def _parse_quant(doc):
 
 
 def _parse_netlist(doc):
-    """A netlist carrying the ports and geometry the attack reads."""
+    """A netlist whose ports match the geometry in its ``meta``, which the attack reads."""
     nl = gn.GateNetlist.from_json_dict(doc)
     missing = {"i", "k", "x"} - nl.inputs.keys() | {"N", "cbw", "ibw"} - nl.meta.keys()
     if missing:
         raise KeyError(", ".join(sorted(missing)))
+    meta = nl.meta
+    for name in ("N", "cbw", "ibw"):
+        if not isinstance(meta[name], int) or meta[name] < 1:
+            raise ValueError(f"netlist meta {name} must be an integer >= 1, got {meta[name]!r}")
+    k_bits = len(nl.inputs["k"])
+    widths = {
+        "ibw": (meta["ibw"], len(nl.inputs["x"]), "x input bits"),
+        "cbw + ibw": (meta["cbw"] + meta["ibw"], len(nl.outputs), "output bits"),
+        "clog2(N)": (tm.clog2(meta["N"]), len(nl.inputs["i"]), "i input bits"),
+        "p": (meta.get("p", k_bits), k_bits, "k input bits"),
+    }
+    for field, (want, got, what) in widths.items():
+        if want != got:
+            raise ValueError(f"netlist meta gives {field} = {want!r}, but it has {got} {what}")
     return nl
 
 

@@ -136,10 +136,6 @@ class FrequencyGrid:
     passband: np.ndarray
     stopband: np.ndarray
 
-    @property
-    def points_per_band(self) -> int:
-        return len(self.passband)
-
 
 def build_frequency_grid(spec: FilterSpec, density: float = 16.0) -> FrequencyGrid:
     """Uniform grid of ``ceil(density * N)`` points per band, edges included.
@@ -177,18 +173,6 @@ class RealCoefficients:
     """Half of a symmetric impulse response: ``h_0 .. h_M`` in [-1, 1]."""
 
     h: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return len(self.h) - 1
-
-    @property
-    def N(self) -> int:
-        return 2 * self.M + 1
-
-    def full(self) -> np.ndarray:
-        """Materialize the complete symmetric impulse response."""
-        return np.concatenate([self.h, self.h[-2::-1]])
 
 
 def compute_zpfr(coeffs, w):

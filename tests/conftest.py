@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from firlock.cli import BENCH_KEY_BITS, bundled_spec_text
 from firlock.decoys import DecoyMethod, assign_decoys
@@ -22,7 +23,7 @@ from firlock.design import (
     quantize,
 )
 from firlock.netlist import lower_to_gates
-from firlock.tmcm import build_folded_filter, build_tmcm
+from firlock.tmcm import ObfuscatedTMCM, build_folded_filter, build_tmcm
 
 # Reference seeds used across the suite and the acceptance gate.
 DECOY_SEED = 11
@@ -49,6 +50,27 @@ def make_quantized(coeffs, lo, hi, Q=8):
         bounds_u=np.asarray(hi, dtype=np.int64),
         Q=Q,
         mbw=mbw,
+    )
+
+
+@st.composite
+def small_tmcms(draw, cbw_minus_ibw: int):
+    """Random small TMCM blocks with ``cbw = ibw + cbw_minus_ibw``.
+
+    N is 1..3, each table has 2 or 4 distinct constants (2 when a 1-bit
+    constant allows no more), and ibw is 2..5.
+    """
+    ibw = draw(st.integers(2, 5))
+    cbw = ibw + cbw_minus_ibw
+    half = 1 << (cbw - 1)
+    widths = tuple(draw(st.lists(st.integers(1, min(2, cbw)), min_size=1, max_size=3)))
+    constants = st.integers(-half, half - 1)
+    tables = tuple(
+        tuple(draw(st.lists(constants, min_size=1 << w, max_size=1 << w, unique=True)))
+        for w in widths
+    )
+    return ObfuscatedTMCM(
+        N=len(widths), ibw=ibw, cbw=cbw, mux_tables=tables, key_widths=widths, seed=0
     )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import invert_truth_table
 
 from firlock.attack import (
@@ -16,10 +18,10 @@ from firlock.attack import (
     recover_coefficient,
 )
 from firlock.decoys import DecoyMethod, assign_decoys, candidate_set
-from firlock.netlist import PackedEvaluator, lower_to_gates
+from firlock.netlist import PackedEvaluator, lower_to_gates, pack_value_bits
 from firlock.tmcm import build_tmcm
 
-from conftest import ATTACK_SEED, make_quantized
+from conftest import ATTACK_SEED, make_quantized, small_tmcms
 
 
 def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):
@@ -46,33 +48,45 @@ def test_infer_key_slices_matches_builder_layout(built):
 
 # --- bit extraction -------------------------------------------------------
 
+def observe(nl, i, k):
+    """f_r(i, k, x) per output bit on x = 0 .. 2**min(cbw, ibw) - 1, and x read signed."""
+    cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
+    width = 1 << min(cbw, ibw)
+    xs = np.arange(width, dtype=np.int64)
+    masks = {
+        "i": pack_value_bits(np.full(width, i), len(nl.inputs["i"])),
+        "k": pack_value_bits(np.full(width, k), len(nl.inputs["k"])),
+        "x": pack_value_bits(xs, ibw),
+    }
+    xs_signed = np.where(xs >= 1 << (ibw - 1), xs - (1 << ibw), xs)
+    return PackedEvaluator(nl).run(masks, width), xs_signed
+
+
 def test_extract_lsb_is_product_at_x_one():
     qf, da, tmcm, key, nl = build_small([3, -2, 5])
-    ev = PackedEvaluator(nl)
     for i in range(tmcm.N):
         for v in range(2):
             k = v << sum(tmcm.key_widths[:i])
             constant = tmcm.mux_tables[i][v]
-            assert extract_bit(ev, i, k, 0, 0) == (constant & 1)
+            observed, xs = observe(nl, i, k)
+            assert extract_bit(observed[0], xs, 0, 0) == (constant & 1)
 
 
 def test_extract_bit_constant_five():
     # Constant 5 = 101b: after bit0 = 1, bit 1 resolves to 0 via the
     # exhaustive check over the two free input bits.
     qf, da, tmcm, key, nl = build_small([5], p=1)
-    ev = PackedEvaluator(nl)
-    pos = key.slice_value(0)
-    assert extract_bit(ev, 0, pos, 0, 0) == 1
-    assert extract_bit(ev, 0, pos, 1, 1) == 0
+    observed, xs = observe(nl, 0, key.slice_value(0))
+    assert extract_bit(observed[0], xs, 0, 0) == 1
+    assert extract_bit(observed[1], xs, 1, 1) == 0
 
 
 def test_extract_zero_constant_all_bits_zero():
     qf, da, tmcm, key, nl = build_small([0, 5], spread=1)
-    ev = PackedEvaluator(nl)
-    pos = key.slice_value(0)
+    observed, xs = observe(nl, 0, key.slice_value(0))
     partial = 0
     for j in range(tmcm.cbw):
-        partial |= extract_bit(ev, 0, pos, partial, j) << j
+        partial |= extract_bit(observed[j], xs, partial, j) << j
     assert partial == 0
 
 
@@ -85,6 +99,22 @@ def test_extraction_matches_ground_truth_multiset():
     for i in range(4):
         assert sorted(rec.R[i]) == sorted((int(qf.coeffs[i]),) + da.D[i])
         assert len(rec.R[i]) == 1 << len(rec.slices[i])
+
+
+def test_extraction_runs_netlist_twice_per_constant(monkeypatch):
+    # Slice inference takes p + 1 runs; each constant then takes one
+    # observation run and one spot-check run, whatever its width.
+    qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
+    runs = []
+    original = PackedEvaluator.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PackedEvaluator, "run", counting_run)
+    rec = extract_constants(nl, seed=ATTACK_SEED)
+    assert len(runs) == tmcm.p + 1 + 2 * sum(len(row) for row in rec.R)
 
 
 def test_extraction_recovers_table_order():
@@ -112,6 +142,20 @@ def test_extraction_agrees_with_truth_table_inversion():
                 k = sum(((v >> t) & 1) << b for t, b in enumerate(bits_i))
                 exact = invert_truth_table(nl, i, k)
                 assert got in exact
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_extraction_agrees_with_truth_table_inversion_random_tables(cbw_minus_ibw, data):
+    # cbw < ibw, = ibw and > ibw are the edges of the 2**min(cbw, ibw)
+    # observation grid.
+    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    rec = extract_constants(nl, samples=64)
+    for i, bits_i in enumerate(rec.slices):
+        for v, got in enumerate(rec.R[i]):
+            k = sum(((v >> t) & 1) << b for t, b in enumerate(bits_i))
+            assert invert_truth_table(nl, i, k) == [got]
 
 
 # --- hub recovery (undecided on pairs) -------------------------------------

@@ -190,6 +190,13 @@ def _without(path: Path, dest: Path, *keys) -> Path:
     return dest
 
 
+def _edited(path: Path, dest: Path, edit) -> Path:
+    doc = json.loads(path.read_text())
+    edit(doc)
+    dest.write_text(json.dumps(doc), "utf-8")
+    return dest
+
+
 def test_obfuscate_quant_missing_field_exit_2(tmp_path, design_dir, capsys):
     bad = _without(design_dir / "filter1.quant.json", tmp_path / "q.json", "bounds_u")
     rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
@@ -254,15 +261,11 @@ def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsy
     assert "24-bit limit" in _one_line_error(capsys)
 
 
-def _edited_secret(obfuscate_dir: Path, dest: Path, edit) -> Path:
-    doc = json.loads((obfuscate_dir / "secret-assignment.json").read_text())
-    edit(doc)
-    dest.write_text(json.dumps(doc), "utf-8")
-    return dest
-
-
 def test_evaluate_secret_spec_n_mismatch_exit_2(tmp_path, obfuscate_dir, capsys):
-    bad = _edited_secret(obfuscate_dir, tmp_path / "s.json", lambda d: d["spec"].update(N=31))
+    bad = _edited(
+        obfuscate_dir / "secret-assignment.json", tmp_path / "s.json",
+        lambda d: d["spec"].update(N=31),
+    )
     rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert "N=31" in _one_line_error(capsys)
@@ -270,8 +273,9 @@ def test_evaluate_secret_spec_n_mismatch_exit_2(tmp_path, obfuscate_dir, capsys)
 
 
 def test_evaluate_secret_key_wider_than_p_exit_2(tmp_path, obfuscate_dir, capsys):
-    bad = _edited_secret(
-        obfuscate_dir, tmp_path / "s.json", lambda d: d.update(key_hex="ff" + d["key_hex"])
+    bad = _edited(
+        obfuscate_dir / "secret-assignment.json", tmp_path / "s.json",
+        lambda d: d.update(key_hex="ff" + d["key_hex"]),
     )
     rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
     assert rc == 2
@@ -286,3 +290,46 @@ def test_evaluate_negative_keys_exit_2(tmp_path, obfuscate_dir, capsys):
     ])
     assert rc == 2
     assert "non-negative" in _one_line_error(capsys)
+
+
+# Each edit leaves a netlist whose meta contradicts its ports (46 outputs,
+# 32 x bits, 5 i bits and 32 k bits at filter 1, p = 32).
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["outputs"].pop(), "cbw + ibw = 46, but it has 45 output bits"),
+        (lambda d: d["meta"].update(cbw=13), "cbw + ibw = 45, but it has 46 output bits"),
+        (lambda d: d["meta"].update(cbw=0), "meta cbw must be an integer >= 1, got 0"),
+        (lambda d: d["meta"].update(ibw=0), "meta ibw must be an integer >= 1, got 0"),
+        (lambda d: d["meta"].update(ibw=31), "ibw = 31, but it has 32 x input bits"),
+        (lambda d: d["meta"].update(N=40), "clog2(N) = 6, but it has 5 i input bits"),
+        (lambda d: d["meta"].update(p=31), "p = 31, but it has 32 k input bits"),
+    ],
+    ids=["output-removed", "cbw-13", "cbw-0", "ibw-0", "ibw-31", "N-40", "p-31"],
+)
+def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
+    bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
+    assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "recovered.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["outputs"].__setitem__(3, d["outputs"][4]),
+            "no constant bit 3 reproduces f_r for i=0, k=0x0",
+        ),
+        (
+            lambda d: d["outputs"].__setitem__(-1, 0),
+            "extracted constant fails spot check for i=0, k=0x0",
+        ),
+    ],
+    ids=["bit-3-rewired", "top-bit-grounded"],
+)
+def test_attack_extraction_failure_exit_1(tmp_path, obfuscate_dir, capsys, edit, message):
+    bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
+    assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: extraction failed: {message}\n"
+    assert not (tmp_path / "recovered.json").exists()

@@ -1,6 +1,9 @@
 """Gate lowering: exhaustive and randomized equivalence to the word level."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
@@ -12,7 +15,7 @@ from firlock.netlist import (
 )
 from firlock.tmcm import build_tmcm, tmcm_multiply
 
-from conftest import make_quantized
+from conftest import make_quantized, small_tmcms
 
 
 def tiny_tmcm(ibw=4, seed=5, n=3):
@@ -42,9 +45,8 @@ def eval_all(nl, i_vals, k_vals, x_vals):
     return words
 
 
-def test_exhaustive_equivalence_small_widths():
-    qf, da, tmcm, key = tiny_tmcm()
-    assert tmcm.cbw == 4 and tmcm.ibw == 4
+def assert_gates_match_word_level(tmcm):
+    """Every (i, k, x) of the lowered netlist against `tmcm_multiply`."""
     nl = lower_to_gates(tmcm)
     n_i, n_k, n_x = 1 << tmcm.select_width, 1 << tmcm.p, 1 << tmcm.ibw
     grid = np.indices((n_i, n_k, n_x)).reshape(3, -1)
@@ -58,6 +60,19 @@ def test_exhaustive_equivalence_small_widths():
         else:
             expect = 0  # padded select reads a zero word
         assert word == expect, (iv, kv, xv)
+
+
+def test_exhaustive_equivalence_small_widths():
+    qf, da, tmcm, key = tiny_tmcm()
+    assert tmcm.cbw == 4 and tmcm.ibw == 4
+    assert_gates_match_word_level(tmcm)
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exhaustive_equivalence_random_tables(cbw_minus_ibw, data):
+    assert_gates_match_word_level(data.draw(small_tmcms(cbw_minus_ibw)))
 
 
 def test_zero_input_gives_zero_product():
