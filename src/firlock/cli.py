@@ -6,7 +6,7 @@ byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
 failure, 2 usage or I/O problems, which include a missing, malformed or
 self-contradicting input artifact (such as a netlist whose ``meta``
 geometry does not match its ports), an out-of-range parameter (``--keys``
-below 0, ``--p`` below N, ``--ibw`` below 1 or too wide for 63-bit
+below 0, ``--p`` below N, ``--ibw`` below 2 or too wide for 63-bit
 outputs, a magnitude width beyond the decoy candidate limit) and a key
 budget the decoy candidates cannot cover.  Every error is reported in
 one line on stderr.
@@ -66,7 +66,12 @@ def _load(path, what: str, parse):
 
 
 def _parse_quant(doc):
-    return fd.QuantizedFilter.from_json_dict(doc), doc.get("spec")
+    """A quantized filter and the spec dict it was designed for, whose N it matches."""
+    qf = fd.QuantizedFilter.from_json_dict(doc)
+    spec = fd.FilterSpec.from_json_dict(doc["spec"])
+    if spec.N != qf.N:
+        raise ValueError(f"quantized filter: spec has N={spec.N} but there are {qf.N} coefficients")
+    return qf, doc["spec"]
 
 
 def _parse_netlist(doc):

@@ -16,8 +16,10 @@ methods are supported:
 * ``hdrd`` -- ``hd`` for a coefficient's first and only decoy, ``rd``
   for everything after.
 
-Each coefficient's legal decoys are one ascending int64 array; a visit
-marks the used ones once in a boolean mask and clears one entry per pick.
+`assign_decoys` holds one assignment's state: the schedule (visits per
+coefficient, fixed by N and p alone), each coefficient's legal decoys as
+one ascending int64 array built once, and one boolean ``free`` mask per
+coefficient that every pick clears; a visit only draws from that state.
 """
 
 from __future__ import annotations
@@ -88,54 +90,48 @@ def candidate_set(h_i: int, l_i: int, u_i: int, mbw: int) -> np.ndarray:
 
 
 def assign_decoy_single(
-    nod: int,
-    h_i: int,
-    l_i: int,
-    u_i: int,
-    existing,
-    dsm: DecoyMethod,
-    rng: np.random.Generator,
-    mbw: int,
-):
-    """Append ``nod`` fresh decoys for one coefficient.
+    nod: int, cands: np.ndarray, free: np.ndarray, h_i: int, dsm: DecoyMethod, rng
+) -> list:
+    """Draw ``nod`` fresh decoys for one coefficient in one visit.
 
-    Returns the updated ``(nd_i, D_i)`` pair without mutating
-    ``existing``.  Raises `InsufficientCandidates` when fewer than
-    ``nod`` unused values remain.
+    ``cands`` is the coefficient's `candidate_set` and ``free`` marks
+    the entries no earlier visit has drawn; the picks are cleared in
+    ``free``.  Raises `InsufficientCandidates` when fewer than ``nod``
+    free values remain.
     """
     if nod < 1:
         raise ValueError("nod must be at least 1")
-    cands = candidate_set(int(h_i), int(l_i), int(u_i), mbw)
-    existing = list(existing)
-    free = ~np.isin(cands, np.asarray(existing, dtype=np.int64))
     remaining = int(np.count_nonzero(free))
     if remaining < nod:
         raise InsufficientCandidates(
             f"{nod} decoys requested but only {remaining} candidates remain"
         )
     if dsm is DecoyMethod.HDRD:
-        dsm = DecoyMethod.HD if (not existing and nod == 1) else DecoyMethod.RD
+        dsm = DecoyMethod.HD if (free.all() and nod == 1) else DecoyMethod.RD
     if dsm is DecoyMethod.HD:
         dist = hamming_to(cands, h_i)
     else:
-        # Candidates whose magnitude bit-width is within one of h_i's.
+        # Candidates whose magnitude bit-width is within one of h_i's: cands[lo:hi].
         b = magnitude_bitwidth(h_i)
-        mags = np.abs(cands)
-        sliced = np.flatnonzero((mags >= 1 << max(b - 2, 0)) & (mags < 1 << (b + 1)))
+        mags = (1 << max(b - 2, 0), 1 << (b + 1))
+        lo, hi = np.searchsorted(cands, mags if h_i >= 0 else (1 - mags[1], 1 - mags[0])).tolist()
+        left = int(np.count_nonzero(free[lo:hi]))
     picked = []
     for _ in range(nod):
         if dsm is DecoyMethod.HD:
+            # The pool holds only free values, so its first draw is kept.
             pool = np.flatnonzero(free & (dist == dist[free].min()))
-        else:
-            pool = sliced if free[sliced].any() else np.arange(cands.size)
-        # hd pools hold only free values; rd redraws until one is free.
-        j = pool[rng.integers(0, pool.size)]
-        while not free[j]:
             j = pool[rng.integers(0, pool.size)]
+        else:
+            if not left:  # the slice is used up: draw from the whole array from now on
+                lo, hi = 0, cands.size
+            j = lo + rng.integers(0, hi - lo)
+            while not free[j]:
+                j = lo + rng.integers(0, hi - lo)
+            left -= 1
         free[j] = False
         picked.append(int(cands[j]))
-    new_list = existing + picked
-    return len(new_list), new_list
+    return picked
 
 
 @dataclass(frozen=True)
@@ -193,9 +189,9 @@ def assign_decoys(
     """Distribute p key bits of decoys over all N coefficients.
 
     Visits coefficients in index order in rounds; round ``r`` appends
-    ``2**r`` decoys per visit and every visit consumes one key bit.  The
-    loop stops the instant the budget is spent, so the trailing
-    coefficients of the last round keep their previous decoy count.
+    ``2**r`` decoys per visit and every visit consumes one key bit, so
+    coefficient ``i`` is visited ``p // N + (i < p % N)`` times: the
+    trailing coefficients of the last round keep their previous count.
 
     The schedule alone fixes each coefficient's final decoy count
     (``2**visits - 1``), so a budget some candidate set cannot cover
@@ -204,30 +200,23 @@ def assign_decoys(
     N = qf.N
     if p < N:
         raise ValueError(f"p must be at least N ({N}) so every coefficient gets a decoy")
-    for i in range(N):
-        need = (1 << (p // N + (i < p % N))) - 1
-        cands = candidate_set(int(qf.coeffs[i]), int(qf.bounds_l[i]), int(qf.bounds_u[i]), qf.mbw)
-        if need > cands.size:
+    visits = [p // N + (i < p % N) for i in range(N)]
+    coeffs = qf.coeffs.tolist()
+    cands = []
+    for i, h_i in enumerate(coeffs):
+        c = candidate_set(h_i, int(qf.bounds_l[i]), int(qf.bounds_u[i]), qf.mbw)
+        need = (1 << visits[i]) - 1
+        if need > c.size:
             raise InsufficientCandidates(
-                f"p={p} gives coefficient {i} {need} decoys but only {cands.size} candidates exist"
+                f"p={p} gives coefficient {i} {need} decoys but only {c.size} candidates exist"
             )
+        cands.append(c)
     dsm = DecoyMethod(dsm)
     rng = np.random.default_rng(seed)
-    nd = [0] * N
+    free = [np.ones(c.size, dtype=bool) for c in cands]
     D = [[] for _ in range(N)]
-    nok = 0
-    noi = 0
-    while nok < p:
-        nod = 1 << noi
+    for r in range(max(visits)):
         for i in range(N):
-            nd[i], D[i] = assign_decoy_single(
-                nod, int(qf.coeffs[i]), int(qf.bounds_l[i]), int(qf.bounds_u[i]),
-                D[i], dsm, rng, qf.mbw,
-            )
-            nok += 1
-            if nok == p:
-                break
-        noi += 1
-    return DecoyAssignment(
-        nd=tuple(nd), D=tuple(tuple(row) for row in D), p=p, dsm=dsm, seed=seed
-    )
+            if r < visits[i]:
+                D[i] += assign_decoy_single(1 << r, cands[i], free[i], coeffs[i], dsm, rng)
+    return DecoyAssignment(nd=tuple(map(len, D)), D=tuple(map(tuple, D)), p=p, dsm=dsm, seed=seed)

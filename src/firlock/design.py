@@ -294,6 +294,11 @@ class QuantizedFilter:
     Q: int
     mbw: int
 
+    def __post_init__(self):
+        n, n_l, n_u = len(self.coeffs), len(self.bounds_l), len(self.bounds_u)
+        if not n == n_l == n_u:
+            raise ValueError(f"quantized filter: {n} coefficients but {n_l}/{n_u} lower/upper bounds")
+
     @property
     def N(self) -> int:
         return len(self.coeffs)

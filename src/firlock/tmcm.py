@@ -102,9 +102,9 @@ class ObfuscatedTMCM:
     ``mux_tables[i]`` is a permutation of {coefficient i} and its
     decoys; ``cbw`` is the two's-complement width every stored constant
     fits in (one sign bit on top of the magnitude width), and ``ibw``
-    the width of the multiplier's variable input.  The folded filter's
-    output word, ``cbw + ibw + clog2(N)`` bits, must fit the 63 bits
-    that simulation and extraction compute in.
+    the width, at least 2 for the step probe's x = +1, of the variable
+    input.  The folded filter's output word, ``cbw + ibw + clog2(N)``
+    bits, must fit the 63 bits that simulation and extraction compute in.
     """
 
     N: int
@@ -115,8 +115,8 @@ class ObfuscatedTMCM:
     seed: int
 
     def __post_init__(self):
-        if self.ibw < 1:
-            raise ValueError(f"input bit-width ibw must be at least 1, got {self.ibw}")
+        if self.ibw < 2:
+            raise ValueError(f"input bit-width ibw must be at least 2, got {self.ibw}")
         width = self.cbw + self.ibw + clog2(self.N)
         if width > 63:
             raise ValueError(

@@ -34,10 +34,12 @@ class IndistinguishabilityReport:
 
 def _draw_decoy_set(h, l, u, mbw, dsm, rng, target_nd):
     """Decoy list a coefficient would accumulate over full rounds."""
+    cands = candidate_set(h, l, u, mbw)
+    free = np.ones(cands.size, dtype=bool)
     D = []
     nod = 1
     while len(D) < target_nd:
-        _, D = assign_decoy_single(nod, h, l, u, D, dsm, rng, mbw)
+        D += assign_decoy_single(nod, cands, free, h, dsm, rng)
         nod *= 2
     return D
 

@@ -204,6 +204,34 @@ def test_obfuscate_quant_missing_field_exit_2(tmp_path, design_dir, capsys):
     assert "bounds_u" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("field", ["bounds_l", "bounds_u"])
+def test_obfuscate_quant_bounds_shorter_than_coeffs_exit_2(tmp_path, design_dir, capsys, field):
+    bad = _edited(design_dir / "filter1.quant.json", tmp_path / "q.json", lambda d: d[field].pop())
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "29 coefficients but" in _one_line_error(capsys)
+    assert not (tmp_path / "netlist.json").exists()
+
+
+def test_obfuscate_quant_without_spec_exit_2(tmp_path, design_dir, capsys):
+    bad = _without(design_dir / "filter1.quant.json", tmp_path / "q.json", "spec")
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "lacks field 'spec'" in _one_line_error(capsys)
+    assert not (tmp_path / "secret-assignment.json").exists()
+
+
+def test_obfuscate_quant_spec_n_mismatch_exit_2(tmp_path, design_dir, capsys):
+    bad = _edited(
+        design_dir / "filter1.quant.json", tmp_path / "q.json",
+        lambda d: d["spec"].update(N=31),
+    )
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "spec has N=31 but there are 29 coefficients" in _one_line_error(capsys)
+    assert not (tmp_path / "secret-assignment.json").exists()
+
+
 def test_evaluate_secret_missing_field_exit_2(tmp_path, obfuscate_dir, capsys):
     bad = _without(obfuscate_dir / "secret-assignment.json", tmp_path / "s.json", "tmcm")
     rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
@@ -225,7 +253,7 @@ def test_attack_malformed_netlist_exit_2(tmp_path, obfuscate_dir, capsys):
     assert "unknown gate op 'NAND'" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("ibw", ["0", "60"])
+@pytest.mark.parametrize("ibw", ["0", "1", "60"])
 def test_obfuscate_ibw_out_of_range_exit_2(tmp_path, design_dir, capsys, ibw):
     rc = main([
         "obfuscate", "--quant", str(design_dir / "filter1.quant.json"),

@@ -70,19 +70,33 @@ def test_candidate_membership_and_sampling():
 
 # --- single assignment --------------------------------------------------
 
+def visit(nod, h, l, u, existing, dsm, rng, mbw):
+    """One visit to a coefficient whose decoys ``existing`` are already drawn.
+
+    Builds the candidate array and its ``free`` mask as `assign_decoys`
+    holds them after earlier visits; returns ``(nd, D)`` after the visit.
+    """
+    cands = candidate_set(h, l, u, mbw)
+    free = ~np.isin(cands, existing)
+    picks = assign_decoy_single(nod, cands, free, h, dsm, rng)
+    assert not free[np.isin(cands, picks)].any()
+    D = list(existing) + picks
+    return len(D), D
+
+
 def test_hd_picks_all_distance_one_neighbors():
     # Coefficient 7 = 111b with no exclusions inside 3 bits: the three
     # distance-1 patterns 110b, 101b, 011b are the only minimal picks.
     rng = np.random.default_rng(1)
-    nd, decoys = assign_decoy_single(3, 7, 7, 7, [], DecoyMethod.HD, rng, mbw=3)
+    nd, decoys = visit(3, 7, 7, 7, [], DecoyMethod.HD, rng, mbw=3)
     assert nd == 3
     assert sorted(decoys) == [3, 5, 6]
     assert all(hamming_distance(d, 7) == 1 for d in decoys)
 
 
 def test_rd_deterministic_under_seed():
-    a = assign_decoy_single(1, 7, 7, 7, [], DecoyMethod.RD, np.random.default_rng(42), mbw=6)
-    b = assign_decoy_single(1, 7, 7, 7, [], DecoyMethod.RD, np.random.default_rng(42), mbw=6)
+    a = visit(1, 7, 7, 7, [], DecoyMethod.RD, np.random.default_rng(42), mbw=6)
+    b = visit(1, 7, 7, 7, [], DecoyMethod.RD, np.random.default_rng(42), mbw=6)
     assert a == b
     # Bit-width slice around bw(7)=3 clamps to [2, 4] bits: values 2..15.
     assert 2 <= a[1][0] <= 15
@@ -90,13 +104,13 @@ def test_rd_deterministic_under_seed():
 
 def test_hdrd_first_decoy_is_hd_then_rd():
     rng = np.random.default_rng(7)
-    _, first = assign_decoy_single(1, 7, 7, 7, [], DecoyMethod.HDRD, rng, mbw=5)
+    _, first = visit(1, 7, 7, 7, [], DecoyMethod.HDRD, rng, mbw=5)
     assert hamming_distance(first[0], 7) == 1
     # With one decoy present the method behaves as RD: over many seeds
     # the picks spread far beyond the distance-1 neighborhood.
     spread = set()
     for s in range(40):
-        _, d2 = assign_decoy_single(
+        _, d2 = visit(
             2, 7, 7, 7, list(first), DecoyMethod.HDRD, np.random.default_rng(s), mbw=5
         )
         spread.update(hamming_distance(v, 7) for v in d2[1:])
@@ -106,7 +120,7 @@ def test_hdrd_first_decoy_is_hd_then_rd():
 def test_insufficient_candidates_raises():
     rng = np.random.default_rng(0)
     with pytest.raises(InsufficientCandidates):
-        assign_decoy_single(8, 3, 2, 4, [], DecoyMethod.RD, rng, mbw=3)
+        visit(8, 3, 2, 4, [], DecoyMethod.RD, rng, mbw=3)
 
 
 def test_hd_minimality_against_enumeration():
@@ -117,7 +131,7 @@ def test_hd_minimality_against_enumeration():
     cs = candidate_set(h, lo, hi, mbw)
     taken = []
     for _ in range(4):
-        _, new = assign_decoy_single(1, h, lo, hi, taken, DecoyMethod.HD, rng, mbw)
+        _, new = visit(1, h, lo, hi, taken, DecoyMethod.HD, rng, mbw)
         picked = new[-1]
         remaining = [v for v in cs.tolist() if v not in taken]
         assert hamming_distance(picked, h) == min(hamming_distance(v, h) for v in remaining)
@@ -199,9 +213,7 @@ def single_visits(draw):
 @given(single_visits())
 def test_draws_match_interval_restatement(case):
     nod, h, l, u, existing, dsm, seed, mbw, cands = case
-    nd, D = assign_decoy_single(
-        nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw
-    )
+    nd, D = visit(nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw)
     expected = _restated_draws(nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw)
     assert D[: len(existing)] == existing
     picks = D[len(existing):]
@@ -257,14 +269,28 @@ def test_round_structure_large(designed):
     assert sum(1 for n in da.nd if n == 1) == 82
 
 
+def test_candidates_built_once_per_coefficient(monkeypatch):
+    qf = small_qf(4)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return candidate_set(*args)
+
+    monkeypatch.setattr(firlock.decoys, "candidate_set", counting)
+    da = assign_decoys(qf, 10, DecoyMethod.HDRD, seed=0)
+    assert da.nd == (7, 7, 3, 3)
+    assert len(calls) == qf.N
+
+
 def test_visit_order_trace(monkeypatch):
     qf = small_qf(4)
     index_of = {int(c): i for i, c in enumerate(qf.coeffs)}
     trace = []
 
-    def recording(nod, h_i, *args):
+    def recording(nod, cands, free, h_i, *args):
         trace.append((nod.bit_length() - 1, index_of[h_i], nod))
-        return assign_decoy_single(nod, h_i, *args)
+        return assign_decoy_single(nod, cands, free, h_i, *args)
 
     monkeypatch.setattr(firlock.decoys, "assign_decoy_single", recording)
     assign_decoys(qf, 6, DecoyMethod.RD, seed=1)

@@ -1,13 +1,16 @@
 """Verilog emission: syntax shape and the emit/parse/simulate round trip."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import PackedEvaluator, lower_to_gates, pack_value_bits
 from firlock.tmcm import build_tmcm
 from firlock.verilog import emit_verilog, parse_verilog
 
-from conftest import make_quantized
+from conftest import make_quantized, small_tmcms
 
 
 def test_round_trip_behavior(built):
@@ -26,6 +29,20 @@ def test_round_trip_behavior(built):
             rng.integers(0, 1 << b.tmcm.ibw, size=n, dtype=np.uint64), len(nl.inputs["x"])
         ),
     }
+    assert PackedEvaluator(again).run(masks, n) == PackedEvaluator(nl).run(masks, n)
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_round_trip_random_tables(cbw_minus_ibw, data):
+    # Every (i, k, x) the ports can carry, padded select values included.
+    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    again = parse_verilog(emit_verilog(nl))
+    widths = [len(nl.inputs[name]) for name in "ikx"]
+    grid = np.indices([1 << w for w in widths]).reshape(3, -1)
+    masks = {name: pack_value_bits(v, w) for name, v, w in zip("ikx", grid, widths)}
+    n = grid.shape[1]
     assert PackedEvaluator(again).run(masks, n) == PackedEvaluator(nl).run(masks, n)
 
 
