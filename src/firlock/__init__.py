@@ -6,9 +6,10 @@ The pipeline stages:
    integer quantization (`firlock.design`).
 2. ``decoys``   -- assignment of decoy constants outside each tap's
    feasible interval (`firlock.decoys`).
-3. ``tmcm``     -- the key-controlled multiplexed constant multiplier and
-   the folded filter built around it (`firlock.tmcm`), lowered to a gate
-   netlist (`firlock.netlist`) and structural Verilog (`firlock.verilog`).
+3. ``tmcm``     -- the key-controlled multiplexed constant multiplier
+   (`firlock.tmcm`), which with a key determines the folded filter built
+   around it; lowered to a gate netlist (`firlock.netlist`) and emitted as
+   structural Verilog (`firlock.verilog`).
 4. ``attack``   -- netlist-level constant extraction, decoy-method
    classification, and hub-based coefficient recovery (`firlock.attack`).
 5. ``evaluate`` -- behavioral probing of the obfuscated filter under
@@ -28,7 +29,6 @@ from firlock.design import (
     ViolationReport,
     build_frequency_grid,
     coefficient_bounds,
-    compute_zpfr,
     design_coefficients,
     quantize,
     verify_spec,
@@ -43,10 +43,8 @@ from firlock.decoys import (
     candidate_set,
 )
 from firlock.tmcm import (
-    FoldedFilter,
     ObfuscatedTMCM,
     SecretKey,
-    build_folded_filter,
     build_tmcm,
     reference_convolution,
     simulate_filter,
@@ -54,7 +52,7 @@ from firlock.tmcm import (
     tmcm_select,
 )
 from firlock.netlist import GateNetlist, PackedEvaluator, lower_to_gates
-from firlock.verilog import emit_verilog, parse_verilog
+from firlock.verilog import emit_verilog
 from firlock.attack import (
     DsmVerdict,
     RecoveredConstantSets,
@@ -72,7 +70,6 @@ from firlock.evaluate import (
     emit_curves,
     sample_wrong_keys,
     single_slice_corruptions,
-    zpfr_under_key,
 )
 
 __version__ = "0.1.0"

@@ -5,11 +5,13 @@ run configuration (seeds included) so any output can be regenerated
 byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
 failure, 2 usage or I/O problems, which include a missing, malformed or
 self-contradicting input artifact (such as a netlist whose ``meta``
-geometry does not match its ports), an out-of-range parameter (``--keys``
-below 0, ``--p`` below N, ``--ibw`` below 2 or too wide for 63-bit
-outputs, a magnitude width beyond the decoy candidate limit) and a key
-budget the decoy candidates cannot cover.  Every error is reported in
-one line on stderr.
+geometry does not match its ports, or a spec whose ``index``, ``N`` or
+``Q`` is not an integer or whose ``Q`` lies outside 1..62), an
+out-of-range parameter (a grid or verify density that is not a finite
+number of at least 1, ``--keys`` below 0, ``--p`` below N, ``--ibw``
+below 2 or too wide for 63-bit outputs, a magnitude width beyond the
+decoy candidate limit) and a key budget the decoy candidates cannot
+cover.  Every error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _parse_netlist(doc):
 
 
 def _parse_secret(doc):
-    """Spec, folded filter and key of a secret assignment that agree with each other."""
+    """Spec, TMCM and key of a secret assignment that agree with each other."""
     spec = fd.FilterSpec.from_json_dict(doc["spec"])
     tmcm = tm.ObfuscatedTMCM.from_json_dict(doc["tmcm"])
     if spec.N != tmcm.N:
@@ -106,7 +108,7 @@ def _parse_secret(doc):
     key = tm.SecretKey.from_hex(doc["key_hex"], tmcm.key_widths)
     if not 0 <= key.bits < 1 << key.p:
         raise ValueError(f"secret assignment: key_hex does not fit the TMCM's {key.p} key bits")
-    return spec, tm.build_folded_filter(tmcm), key
+    return spec, tmcm, key
 
 
 def _config_dict(args, keys) -> dict:
@@ -123,8 +125,8 @@ def _run_design(spec: fd.FilterSpec, grid_density: float):
 def cmd_design(args) -> int:
     spec = _load(args.spec, "spec", fd.FilterSpec.from_json_dict)
     config = _config_dict(args, ["spec", "grid_density", "verify_density", "out"])
-    coeffs, bounds, qf = _run_design(spec, args.grid_density)
     vgrid = fd.build_frequency_grid(spec, args.verify_density)
+    coeffs, bounds, qf = _run_design(spec, args.grid_density)
     report = fd.verify_spec(qf, spec, vgrid)
     float_report = fd.verify_response(coeffs.h, spec, vgrid)
     out = Path(args.out)
@@ -228,10 +230,10 @@ def cmd_evaluate(args) -> int:
     config = _config_dict(
         args, ["secret", "keys", "max_hd", "seed_eval", "curve_points", "verify_density", "out"]
     )
-    spec, filt, key = _load(args.secret, "secret assignment", _parse_secret)
+    spec, tmcm, key = _load(args.secret, "secret assignment", _parse_secret)
     wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
     report = ev.behavior_report(
-        filt, key, spec, wrong,
+        tmcm, key, spec, wrong,
         grid_density=args.verify_density, curve_points=args.curve_points,
     )
     out = Path(args.out)
@@ -258,10 +260,9 @@ def cmd_bench(args) -> int:
                 qf, dc.DecoyMethod.parse(method), p, args.ibw, args.seed_obfuscate
             )
             _, verdict, report = _attack(nl, args.seed_attack, qf.coeffs)
-            filt = tm.build_folded_filter(tmcm)
             wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
             wrong += ev.single_slice_corruptions(key)
-            behavior = ev.behavior_report(filt, key, spec, wrong)
+            behavior = ev.behavior_report(tmcm, key, spec, wrong)
             rows.append(
                 {
                     "filter": index,

@@ -169,16 +169,6 @@ class DecoyAssignment:
             "D": [[int(v) for v in row] for row in self.D],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DecoyAssignment":
-        return cls(
-            nd=tuple(int(n) for n in d["nd"]),
-            D=tuple(tuple(int(v) for v in row) for row in d["D"]),
-            p=int(d["p"]),
-            dsm=DecoyMethod.parse(d["dsm"]),
-            seed=int(d["seed"]),
-        )
-
 
 def assign_decoys(
     qf: QuantizedFilter,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "BAND_TYPES",
@@ -35,7 +34,6 @@ __all__ = [
     "ViolationReport",
     "build_frequency_grid",
     "coefficient_bounds",
-    "compute_zpfr",
     "design_coefficients",
     "magnitude_bitwidth",
     "quantize",
@@ -60,6 +58,17 @@ class InfeasibleSpec(Exception):
     """No filter of the requested length meets the band constraints."""
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first solve.
+
+    Loading ``scipy.optimize`` takes most of ``import firlock``; the
+    stages that solve no LP (attack, evaluate) never pay for it.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def magnitude_bitwidth(value: int) -> int:
     """Bit count of ``|value|``; zero is defined to need one bit."""
     return max(int(abs(value)).bit_length(), 1)
@@ -72,6 +81,8 @@ class FilterSpec:
     ``wp`` and ``ws`` are normalized band edges in units of pi
     rad/sample, ``dp`` and ``ds`` are linear ripple bounds, and ``Q``
     is the number of fractional bits used for integer quantization.
+    ``Q`` is at most 62: every coefficient and bound lies in [-1, 1],
+    so ``ceil(v * 2**Q)`` then fits in int64.
     """
 
     index: int
@@ -84,6 +95,10 @@ class FilterSpec:
     Q: int
 
     def __post_init__(self):
+        for name in ("index", "N", "Q"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"spec field {name} must be an integer, got {value!r}")
         if self.band_type not in BAND_TYPES:
             raise ValueError(f"band_type must be one of {BAND_TYPES}")
         if self.N < 1 or self.N % 2 == 0:
@@ -96,8 +111,8 @@ class FilterSpec:
             raise ValueError("high-pass requires ws < wp")
         if not (0.0 < self.dp < 1.0 and 0.0 < self.ds < 1.0):
             raise ValueError("ripples must lie strictly inside (0, 1)")
-        if self.Q < 1:
-            raise ValueError("quantization exponent Q must be positive")
+        if not 1 <= self.Q <= 62:
+            raise ValueError(f"quantization exponent Q must lie in [1, 62], got {self.Q}")
 
     @property
     def M(self) -> int:
@@ -144,8 +159,8 @@ def build_frequency_grid(spec: FilterSpec, density: float = 16.0) -> FrequencyGr
     [ws*pi, pi]; a high-pass spec swaps the band roles (stopband
     [0, ws*pi], passband [wp*pi, pi]).
     """
-    if density < 1:
-        raise ValueError("grid density must be at least 1")
+    if not math.isfinite(density) or density < 1:
+        raise ValueError(f"grid density must be a finite number of at least 1, got {density}")
     n = math.ceil(density * spec.N)
     if spec.band_type == "low-pass":
         passband = np.linspace(0.0, spec.wp * np.pi, n)
@@ -173,17 +188,6 @@ class RealCoefficients:
     """Half of a symmetric impulse response: ``h_0 .. h_M`` in [-1, 1]."""
 
     h: np.ndarray
-
-
-def compute_zpfr(coeffs, w):
-    """Zero-phase frequency response of the half coefficient vector.
-
-    ``coeffs`` may be a `RealCoefficients` or a plain array of length
-    M+1; ``w`` may be a scalar or an array of angular frequencies.
-    """
-    h = coeffs.h if isinstance(coeffs, RealCoefficients) else np.asarray(coeffs, float)
-    gains = response_matrix(w, len(h) - 1) @ h
-    return float(gains[0]) if np.isscalar(w) else gains
 
 
 def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
@@ -413,8 +417,6 @@ def verify_response(
     )
 
 
-def verify_spec(
-    qf: QuantizedFilter, spec: FilterSpec, grid: FrequencyGrid, tol: float = LP_RESIDUAL_TOL
-) -> ViolationReport:
+def verify_spec(qf: QuantizedFilter, spec: FilterSpec, grid: FrequencyGrid) -> ViolationReport:
     """Check the scaled quantized response G(w)/2**Q against the spec."""
-    return verify_response(qf.half() / (1 << qf.Q), spec, grid, tol)
+    return verify_response(qf.half() / (1 << qf.Q), spec, grid)

@@ -4,10 +4,12 @@ The effective coefficients of the filter under *any* key can be read
 off behaviorally: drive the constant-1 step from reset and difference
 the first N outputs.  The resulting tap vector is exactly what the key
 selected per index, so its frequency response tells whether the filter
-still meets its spec.  A wrong key can break coefficient symmetry, so
-the violation test uses the full-response magnitude |H(e^jw)| (a direct
-DFT of the effective taps); the symmetric-part ZPFR is kept for
-plotting.
+still meets its spec.  A filter is audited through its
+`ObfuscatedTMCM`, which with a key fully determines the folded filter.
+A wrong key can break coefficient symmetry, so the violation test uses
+the full-response magnitude |H(e^jw)| (a direct DFT of the effective
+taps); the ZPFR of the taps' symmetric part is kept for plotting
+(`emit_curves`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from firlock.design import FilterSpec, build_frequency_grid, response_matrix
-from firlock.tmcm import FoldedFilter, SecretKey, simulate_filter
+from firlock.tmcm import ObfuscatedTMCM, SecretKey, _key_bits, simulate_filter
 
 __all__ = [
     "BehaviorReport",
@@ -30,7 +32,6 @@ __all__ = [
     "emit_curves",
     "sample_wrong_keys",
     "single_slice_corruptions",
-    "zpfr_under_key",
 ]
 
 VIOLATION_TOL = 1e-8
@@ -94,31 +95,14 @@ def single_slice_corruptions(secret: SecretKey) -> list:
     return keys
 
 
-def effective_coefficients(filt: FoldedFilter, key) -> np.ndarray:
+def effective_coefficients(tmcm: ObfuscatedTMCM, key) -> np.ndarray:
     """Taps realized under ``key``, probed through the step response.
 
     Equals ``tmcm_select`` per index for any key: the step makes output
     j the running sum of the first j+1 selected constants.
     """
-    N = filt.tmcm.N
-    y = simulate_filter(filt, key, np.ones(N, dtype=np.int64))
+    y = simulate_filter(tmcm, key, np.ones(tmcm.N, dtype=np.int64))
     return np.diff(y, prepend=0)
-
-
-def zpfr_under_key(filt: FoldedFilter, key, w, q_scale: int) -> np.ndarray:
-    """Zero-phase response of the symmetric part of the effective taps.
-
-    A wrong key may break symmetry; the symmetric part is what a
-    zero-phase plot can show.  ``q_scale`` is the quantization exponent
-    Q of the underlying design.
-    """
-    return _symmetric_zpfr(effective_coefficients(filt, key), w, q_scale)
-
-
-def _symmetric_zpfr(taps: np.ndarray, w, q_scale: int) -> np.ndarray:
-    sym = (taps + taps[::-1]) / 2.0
-    M = (len(taps) - 1) // 2
-    return response_matrix(w, M) @ (sym[: M + 1] / (1 << q_scale))
 
 
 @dataclass(frozen=True)
@@ -156,14 +140,13 @@ class BehaviorReport:
     entries: tuple
     violation_fraction: float
     grid_density: float
-    tol: float
     curve_w: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
             "grid_density": self.grid_density,
-            "tol": self.tol,
+            "tol": VIOLATION_TOL,
             "wrong_keys": len(self.entries) - 1,
             "violation_fraction": self.violation_fraction,
             "keys": [e.to_json_dict() for e in self.entries],
@@ -171,47 +154,50 @@ class BehaviorReport:
 
 
 def behavior_report(
-    filt: FoldedFilter,
+    tmcm: ObfuscatedTMCM,
     secret: SecretKey,
     spec: FilterSpec,
     wrong_keys,
     grid_density: float = 160.0,
     curve_points: int = 257,
-    tol: float = VIOLATION_TOL,
 ) -> BehaviorReport:
     """Audit the correct key and every wrong key against the spec.
 
     A key is flagged violating when |H(e^jw)| leaves the ripple band by
-    more than ``tol`` anywhere on the verification grid.  The correct
-    key always appears first (key id 0 in the curve export); only wrong
-    keys count toward the violation fraction.
+    more than `VIOLATION_TOL` anywhere on the verification grid.  Each
+    key's curve is the ZPFR of its taps' symmetric part on
+    ``curve_points`` frequencies.  The correct key always appears first
+    (key id 0 in the curve export); only wrong keys count toward the
+    violation fraction.
     """
     grid = build_frequency_grid(spec, grid_density)
-    N = filt.tmcm.N
+    N = tmcm.N
+    M = (N - 1) // 2
     idx = np.arange(N)
     phase_pass = np.exp(-1j * np.outer(grid.passband, idx))
     phase_stop = np.exp(-1j * np.outer(grid.stopband, idx))
     curve_w = np.linspace(0.0, np.pi, curve_points)
+    curve_rows = response_matrix(curve_w, M)
     scale = 1 << spec.Q
 
     def audit(key, is_secret):
-        taps = effective_coefficients(filt, key)
+        taps = effective_coefficients(tmcm, key)
         mag_pass = np.abs(phase_pass @ (taps / scale))
         mag_stop = np.abs(phase_stop @ (taps / scale))
         pass_dev = float(np.max(np.abs(mag_pass - 1.0)))
         stop_dev = float(np.max(mag_stop))
         excess = max(pass_dev - spec.dp, stop_dev - spec.ds)
-        bits = key.bits if isinstance(key, SecretKey) else int(key)
+        sym = (taps + taps[::-1]) / 2.0
         return KeyBehavior(
-            key_hex=format(bits, f"0{(secret.p + 3) // 4}x"),
+            key_hex=SecretKey(_key_bits(key), secret.widths).to_hex(),
             is_secret=is_secret,
             taps=tuple(int(t) for t in taps),
             symmetric=bool(np.array_equal(taps, taps[::-1])),
             max_passband_dev=pass_dev,
             max_stopband_dev=stop_dev,
             band_excess=float(excess),
-            violates=bool(excess > tol),
-            curve=_symmetric_zpfr(taps, curve_w, spec.Q),
+            violates=bool(excess > VIOLATION_TOL),
+            curve=curve_rows @ (sym[: M + 1] / scale),
         )
 
     entries = [audit(secret, True)] + [audit(k, False) for k in wrong_keys]
@@ -222,7 +208,6 @@ def behavior_report(
         entries=tuple(entries),
         violation_fraction=fraction,
         grid_density=grid_density,
-        tol=tol,
         curve_w=curve_w,
     )
 

@@ -4,8 +4,10 @@ The TMCM block holds, for every coefficient index i, a power-of-two sized
 table containing the coefficient and its decoys in random order.  A key
 slice per index selects one table entry; the selected constant is
 multiplied by the filter input.  Under the secret key every slice picks
-the true coefficient, and the surrounding folded filter computes the
-exact convolution; any other key multiplies at least one decoy.
+the true coefficient, and the folded filter around the block (one TMCM,
+one adder, N-1 registers; `simulate_filter`) computes the exact
+convolution; any other key multiplies at least one decoy.  The TMCM and
+a key fully determine the filter, so the TMCM is the filter's model.
 
 The word-level reference semantics in this module are the ground truth
 that the gate-level lowering (`firlock.netlist`) must match.
@@ -22,10 +24,8 @@ from firlock.decoys import DecoyAssignment
 from firlock.design import QuantizedFilter
 
 __all__ = [
-    "FoldedFilter",
     "ObfuscatedTMCM",
     "SecretKey",
-    "build_folded_filter",
     "build_tmcm",
     "clog2",
     "reference_convolution",
@@ -216,41 +216,18 @@ def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key, x: int) -> int:
     return tmcm_select(tmcm, i, key) * int(x)
 
 
-@dataclass(frozen=True)
-class FoldedFilter:
-    """Folded realization: one TMCM, one adder, N-1 delay registers.
+def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
+    """Run the folded filter around ``tmcm``; one output per input sample.
 
-    Each input sample is held for N clock cycles; a counter sweeps the
-    coefficient index, the TMCM product is accumulated into the delay
-    line, and the timing signal marks the last cycle of every sample,
-    triggering emit/shift/load.  The output width is sized so partial
-    sums can never wrap.
+    The folded realization is one TMCM, one adder and N-1 delay
+    registers.  Each input sample is held for N clock cycles while a
+    counter sweeps the coefficient index: cycle c accumulates
+    ``constant_c * x`` into delay slot c, and the TS pulse after cycle
+    N-1 emits slot 0 and shifts the line.  Registers reset to zero, and
+    the output word (see `ObfuscatedTMCM`) is wide enough that partial
+    sums never wrap.  Under the secret key this reproduces the exact
+    transposed-form convolution.
     """
-
-    tmcm: ObfuscatedTMCM
-    counter_width: int
-    register_count: int
-    output_width: int
-
-
-def build_folded_filter(tmcm: ObfuscatedTMCM) -> FoldedFilter:
-    return FoldedFilter(
-        tmcm=tmcm,
-        counter_width=clog2(tmcm.N),
-        register_count=tmcm.N - 1,
-        output_width=tmcm.cbw + tmcm.ibw + clog2(tmcm.N),
-    )
-
-
-def simulate_filter(filt: FoldedFilter, key, inputs) -> np.ndarray:
-    """Run the folded filter; one output per input sample.
-
-    Registers reset to zero.  Each sample costs N internal cycles: cycle
-    c accumulates ``constant_c * x`` into delay slot c, and the TS pulse
-    after cycle N-1 emits slot 0 and shifts the line.  Under the secret
-    key this reproduces the exact transposed-form convolution.
-    """
-    tmcm = filt.tmcm
     N = tmcm.N
     bits = _key_bits(key)
     consts = np.array([tmcm_select(tmcm, i, bits) for i in range(N)], dtype=np.int64)

@@ -23,7 +23,7 @@ from firlock.design import (
     quantize,
 )
 from firlock.netlist import lower_to_gates
-from firlock.tmcm import ObfuscatedTMCM, build_folded_filter, build_tmcm
+from firlock.tmcm import ObfuscatedTMCM, build_tmcm
 
 # Reference seeds used across the suite and the acceptance gate.
 DECOY_SEED = 11
@@ -116,7 +116,7 @@ def built(designed):
                 da=da,
                 tmcm=tmcm,
                 secret=secret,
-                filt=build_folded_filter(tmcm),
+                filt=tmcm,  # test_acceptance reads b.filt; the TMCM models the filter
                 netlist=lower_to_gates(tmcm),
             )
         return cache[key_tag]

@@ -273,10 +273,49 @@ def test_obfuscate_impossible_budget_exit_2(tmp_path, design_dir, capsys):
     assert "candidates" in _one_line_error(capsys)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, firlock.cli; sys.exit('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_out_scipy_stats(module):
+    code = f"import sys, firlock.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("Q", 14.5, "Q must be an integer, got 14.5"),
+        ("N", 29.5, "N must be an integer, got 29.5"),
+        ("N", True, "N must be an integer, got True"),
+        ("index", "1", "index must be an integer, got '1'"),
+        ("Q", 70, "Q must lie in [1, 62], got 70"),
+        ("Q", 0, "Q must lie in [1, 62], got 0"),
+    ],
+    ids=["Q-float", "N-float", "N-bool", "index-str", "Q-70", "Q-0"],
+)
+def test_design_spec_bad_integer_field_exit_2(tmp_path, spec_file, capsys, field, value, message):
+    bad = _edited(spec_file, tmp_path / "s.json", lambda d: d.update({field: value}))
+    assert main(["design", "--spec", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in _one_line_error(capsys)
+    assert not list(tmp_path.glob("s.*.json"))
+
+
+@pytest.mark.parametrize("flag", ["--grid-density", "--verify-density"])
+def test_design_infinite_grid_density_exit_2(tmp_path, spec_file, capsys, monkeypatch, flag):
+    # Rejected before any LP is solved.
+    monkeypatch.setattr("firlock.design.linprog", None)
+    rc = main(["design", "--spec", str(spec_file), flag, "inf", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "grid density must be a finite number" in _one_line_error(capsys)
+
+
+def test_evaluate_nan_verify_density_exit_2(tmp_path, obfuscate_dir, capsys):
+    rc = main([
+        "evaluate", "--secret", str(obfuscate_dir / "secret-assignment.json"),
+        "--keys", "1", "--verify-density", "nan", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "grid density must be a finite number" in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
 
 
 def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsys):

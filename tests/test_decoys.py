@@ -12,7 +12,6 @@ from indistinguishability import check_indistinguishability
 import firlock.decoys
 from firlock.decoys import (
     MAX_CANDIDATE_BITS,
-    DecoyAssignment,
     DecoyMethod,
     EmptyCandidateSet,
     InsufficientCandidates,
@@ -352,11 +351,6 @@ def test_assignment_deterministic(designed):
     assert a == b
     c = assign_decoys(qf, 32, DecoyMethod.HDRD, seed=6)
     assert a != c
-
-
-def test_assignment_json_round_trip(designed):
-    da = assign_decoys(designed(1).qf, 32, DecoyMethod.RD, seed=1)
-    assert DecoyAssignment.from_json_dict(da.to_json_dict()) == da
 
 
 # --- indistinguishability ------------------------------------------------

@@ -7,16 +7,15 @@ import pytest
 
 import firlock.evaluate
 from firlock.decoys import DecoyMethod, assign_decoys
-from firlock.design import quantization_deviation_bound
+from firlock.design import quantization_deviation_bound, response_matrix
 from firlock.evaluate import (
     behavior_report,
     effective_coefficients,
     emit_curves,
     sample_wrong_keys,
     single_slice_corruptions,
-    zpfr_under_key,
 )
-from firlock.tmcm import build_folded_filter, build_tmcm, simulate_filter, tmcm_select
+from firlock.tmcm import build_tmcm, simulate_filter, tmcm_select
 
 from conftest import EVAL_SEED, make_quantized
 
@@ -78,20 +77,20 @@ def test_probe_equals_select_for_any_key(built):
     rng = np.random.default_rng(5)
     keys = [b.secret.bits] + [int(rng.integers(0, 1 << b.tmcm.p)) for _ in range(10)]
     for k in keys:
-        probed = effective_coefficients(b.filt, k)
+        probed = effective_coefficients(b.tmcm, k)
         word = [tmcm_select(b.tmcm, i, k) for i in range(b.tmcm.N)]
         assert list(probed) == word
 
 
 def test_probe_secret_key_gives_design(built):
     b = built(1, DecoyMethod.HDRD)
-    assert list(effective_coefficients(b.filt, b.secret)) == list(b.design.qf.coeffs)
+    assert list(effective_coefficients(b.tmcm, b.secret)) == list(b.design.qf.coeffs)
 
 
 def test_slice_flip_corrupts_single_position(built):
     b = built(1, DecoyMethod.HDRD)
     wrong = b.secret.with_slice(4, b.secret.slice_value(4) ^ 1)
-    taps = effective_coefficients(b.filt, wrong)
+    taps = effective_coefficients(b.tmcm, wrong)
     diff = np.nonzero(taps != b.design.qf.coeffs)[0]
     assert list(diff) == [4]
 
@@ -102,42 +101,17 @@ def test_monotone_corruption(built):
     corrupted_counts = []
     for j in (0, 5, 10, 20):
         key = key.with_slice(j, key.slice_value(j) ^ 1)
-        taps = effective_coefficients(b.filt, key)
+        taps = effective_coefficients(b.tmcm, key)
         corrupted_counts.append(int(np.sum(taps != b.design.qf.coeffs)))
     assert corrupted_counts == sorted(corrupted_counts)
     assert corrupted_counts[-1] == 4
-
-
-# --- response under keys ------------------------------------------------------
-
-def test_zpfr_secret_key_within_quantization_bound(built):
-    b = built(1, DecoyMethod.HDRD)
-    d = b.design
-    w = d.verify_grid.passband
-    curve = zpfr_under_key(b.filt, b.secret, w, d.spec.Q)
-    from firlock.design import response_matrix
-
-    float_curve = response_matrix(w, d.spec.M) @ d.coeffs.h
-    bound = quantization_deviation_bound(d.spec.M, d.spec.Q)
-    assert np.max(np.abs(curve - float_curve)) <= bound
-
-
-def test_zpfr_all_zero_taps_flat():
-    from firlock.tmcm import ObfuscatedTMCM
-
-    tmcm = ObfuscatedTMCM(
-        N=3, ibw=5, cbw=4, mux_tables=((0,), (0,), (0,)), key_widths=(0, 0, 0), seed=0
-    )
-    filt = build_folded_filter(tmcm)
-    curve = zpfr_under_key(filt, 0, np.linspace(0, np.pi, 16), q_scale=4)
-    assert np.array_equal(curve, np.zeros(16))
 
 
 # --- behavior report ----------------------------------------------------------
 
 def test_report_correct_key_only(built):
     b = built(1, DecoyMethod.HDRD)
-    report = behavior_report(b.filt, b.secret, b.design.spec, wrong_keys=[])
+    report = behavior_report(b.tmcm, b.secret, b.design.spec, wrong_keys=[])
     assert report.violation_fraction == 0.0
     assert report.entries[0].is_secret
     assert not report.entries[0].violates
@@ -154,11 +128,24 @@ def test_report_simulates_each_key_once(built, monkeypatch):
 
     monkeypatch.setattr(firlock.evaluate, "simulate_filter", counting)
     keys = single_slice_corruptions(b.secret)[:5]
-    report = behavior_report(b.filt, b.secret, b.design.spec, keys, curve_points=64)
+    report = behavior_report(b.tmcm, b.secret, b.design.spec, keys, curve_points=64)
     assert len(calls) == len(report.entries) == 6
     monkeypatch.undo()
+    rows = response_matrix(report.curve_w, b.design.spec.M)
+    scale = 1 << b.design.spec.Q
     for key, e in zip([b.secret] + keys, report.entries):
-        assert np.array_equal(e.curve, zpfr_under_key(b.filt, key, report.curve_w, b.design.spec.Q))
+        taps = effective_coefficients(b.tmcm, key)
+        sym = (taps + taps[::-1]) / 2.0
+        assert np.array_equal(e.curve, rows @ (sym[: b.design.spec.M + 1] / scale))
+
+
+def test_zpfr_secret_key_within_quantization_bound(built):
+    b = built(1, DecoyMethod.HDRD)
+    d = b.design
+    report = behavior_report(b.tmcm, b.secret, d.spec, wrong_keys=[])
+    float_curve = response_matrix(report.curve_w, d.spec.M) @ d.coeffs.h
+    bound = quantization_deviation_bound(d.spec.M, d.spec.Q)
+    assert np.max(np.abs(report.entries[0].curve - float_curve)) <= bound
 
 
 def test_report_wrong_keys_flagged_with_full_chain(built):
@@ -168,7 +155,7 @@ def test_report_wrong_keys_flagged_with_full_chain(built):
     b = built(1, DecoyMethod.HDRD)
     qf = b.design.qf
     keys = single_slice_corruptions(b.secret)[:10]
-    report = behavior_report(b.filt, b.secret, b.design.spec, keys)
+    report = behavior_report(b.tmcm, b.secret, b.design.spec, keys)
     assert report.violation_fraction == 1.0
     for e in report.entries[1:]:
         wrong = [i for i, t in enumerate(e.taps) if t != qf.coeffs[i]]
@@ -190,8 +177,7 @@ def test_report_negative_control_decoys_inside_bounds(designed):
     )
     da = assign_decoys(inside, 29, DecoyMethod.HD, seed=4)
     tmcm, key = build_tmcm(inside, da, ibw=32, seed=5)
-    filt = build_folded_filter(tmcm)
-    report = behavior_report(filt, key, d.spec, single_slice_corruptions(key))
+    report = behavior_report(tmcm, key, d.spec, single_slice_corruptions(key))
     assert report.violation_fraction < 1.0
 
 
@@ -199,7 +185,7 @@ def test_emit_curves_shape_and_round_trip(built):
     b = built(1, DecoyMethod.HDRD)
     keys = single_slice_corruptions(b.secret)[:3]
     report = behavior_report(
-        b.filt, b.secret, b.design.spec, keys, curve_points=100
+        b.tmcm, b.secret, b.design.spec, keys, curve_points=100
     )
     text = emit_curves(report)
     lines = text.strip().splitlines()

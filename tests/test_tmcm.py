@@ -6,7 +6,6 @@ import pytest
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.tmcm import (
     SecretKey,
-    build_folded_filter,
     build_tmcm,
     reference_convolution,
     simulate_filter,
@@ -120,28 +119,18 @@ def test_multiply_range_checked(small_build):
 
 # --- folded filter ------------------------------------------------------
 
-def test_folded_geometry(built):
-    b = built(1, DecoyMethod.HDRD)
-    filt = b.filt
-    assert filt.register_count == 28
-    assert filt.counter_width == 5
-    assert filt.output_width == b.tmcm.cbw + b.tmcm.ibw + 5
-
-
 def test_step_response_prefix_sums(small_build):
     qf, _, tmcm, key = small_build
-    filt = build_folded_filter(tmcm)
-    y = simulate_filter(filt, key, [1, 1, 1])
+    y = simulate_filter(tmcm, key, [1, 1, 1])
     expect = np.cumsum(qf.coeffs)
     assert list(y) == list(expect)
 
 
 def test_simulation_matches_reference_convolution(small_build):
     qf, _, tmcm, key = small_build
-    filt = build_folded_filter(tmcm)
     rng = np.random.default_rng(2)
     xs = rng.integers(-32, 32, size=500)
-    assert np.array_equal(simulate_filter(filt, key, xs), reference_convolution(qf.coeffs, xs))
+    assert np.array_equal(simulate_filter(tmcm, key, xs), reference_convolution(qf.coeffs, xs))
 
 
 def test_wrong_keys_corrupt_step_stream(built):
@@ -151,20 +140,19 @@ def test_wrong_keys_corrupt_step_stream(built):
 
     b = built(1, DecoyMethod.HDRD)
     step = np.ones(b.tmcm.N, dtype=np.int64)
-    correct = simulate_filter(b.filt, b.secret, step)
+    correct = simulate_filter(b.tmcm, b.secret, step)
     keys = list(sample_wrong_keys(b.secret, 1000, max_hd=b.secret.p, seed=21).keys)
     keys += single_slice_corruptions(b.secret)
     for k in keys:
-        assert not np.array_equal(simulate_filter(b.filt, k, step), correct)
+        assert not np.array_equal(simulate_filter(b.tmcm, k, step), correct)
 
 
 def test_zero_input_zero_output_any_key(small_build):
     qf, _, tmcm, key = small_build
-    filt = build_folded_filter(tmcm)
     rng = np.random.default_rng(3)
     for _ in range(5):
         k = int(rng.integers(0, 1 << tmcm.p))
-        assert not np.any(simulate_filter(filt, k, np.zeros(20, dtype=int)))
+        assert not np.any(simulate_filter(tmcm, k, np.zeros(20, dtype=int)))
 
 
 # --- reference convolution ----------------------------------------------

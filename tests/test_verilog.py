@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import PackedEvaluator, lower_to_gates, pack_value_bits
 from firlock.tmcm import build_tmcm
-from firlock.verilog import emit_verilog, parse_verilog
+from firlock.verilog import emit_verilog
 
 from conftest import make_quantized, small_tmcms
+from verilog_parser import parse_verilog
 
 
 def test_round_trip_behavior(built):
@@ -53,6 +54,7 @@ def test_port_widths_in_emission(built):
     assert "input [31:0] k;" in text         # p = 32
     assert "input [31:0] x;" in text
     assert f"output [{b.tmcm.cbw + 32 - 1}:0] y;" in text
+    assert "module tmcm_block (i, k, x, y);" in text
     assert text.startswith("//")
     assert text.rstrip().endswith("endmodule")
 
@@ -79,7 +81,3 @@ def test_header_comment_passthrough(built):
     lines = text.splitlines()
     assert lines[1] == "// alpha" and lines[2] == "// beta"
 
-
-def test_module_name_override(built):
-    text = emit_verilog(built(1, DecoyMethod.HDRD).netlist, module_name="core")
-    assert "module core (i, k, x, y);" in text
