@@ -5,12 +5,16 @@ else: no key, no filter spec, no working reference device.  The attack
 proceeds in stages:
 
 1. key slice discovery: which key bits steer which primary select value
-   (functional probing; the lowering is regular so this is reliable);
+   (functional probing in one netlist run; the lowering is regular so
+   this is reliable);
 2. LSB-first constant extraction: product bit j depends only on bits
-   0..j of the constant and of x, so one netlist run per constant
+   0..j of the constant and of x, so one netlist run per constant, with
+   i and k held so that the evaluator skips the logic they decide,
    observes every input the scan needs, and the bits are decided one at
    a time by an exhaustive check over the free low bits of x -- the
-   desk-scale equivalent of proving a miter bit unsatisfiable;
+   desk-scale equivalent of proving a miter bit unsatisfiable; one more
+   run per key slice (several for a wide one) spot-checks the slice's
+   constants on random inputs;
 3. decoy-method classification from the extracted constant sets;
 4. hub-based coefficient recovery: a constant whose Hamming distance to
    every other extracted constant is minimal gives itself away.
@@ -45,6 +49,9 @@ __all__ = [
 
 
 HD_THRESHOLD = 0.5  # hub fraction from which `classify_dsm` says HD-like
+# Most lanes in one spot-check run: 2 KB per net value however wide the key
+# slice (all 512 values of a 9-bit slice in one run would take 64 KB per net).
+SPOT_CHECK_LANES = 1 << 14
 
 
 class NoConsistentBit(Exception):
@@ -66,28 +73,30 @@ class InconclusiveClassification(Exception):
 def infer_key_slices(nl: GateNetlist) -> list:
     """Group key bits by the primary select value they influence.
 
-    Drives x = 1 and sweeps all i lanes at once; flipping a key bit
-    changes the selected constant (all table entries are distinct), so
-    the affected lane identifies the owner.  Raises if a key bit feeds
-    no lane or several, which would mean the netlist is not a
-    per-coefficient selector.
+    Drives x = 1 in one netlist run of (p + 1) blocks of N lanes: lane
+    i of every block reads select i, block 0 holds the key at 0 and
+    block b + 1 sets key bit b alone.  Flipping a key bit changes the
+    selected constant (all table entries are distinct), so the lanes
+    where block b + 1 differs from block 0 identify the owner.  Raises
+    if a key bit feeds no lane or several, which would mean the netlist
+    is not a per-coefficient selector.
     """
     meta = nl.meta
     n, ibw, p = meta["N"], meta["ibw"], len(nl.inputs["k"])
-    ev = PackedEvaluator(nl)
-    lanes = np.arange(n, dtype=np.uint64)
-    i_masks = pack_value_bits(lanes, len(nl.inputs["i"]))
-    x_masks = [const_mask(1, n)] + [0] * (ibw - 1)
-    base = ev.run({"i": i_masks, "k": [0] * p, "x": x_masks}, n)
+    width = (p + 1) * n
+    block = (1 << n) - 1
+    i_masks = pack_value_bits(np.arange(width, dtype=np.uint64) % np.uint64(n), len(nl.inputs["i"]))
+    k_masks = [block << (n * (bit + 1)) for bit in range(p)]
+    x_masks = [const_mask(1, width)] + [0] * (ibw - 1)
+    out = PackedEvaluator(nl).run({"i": i_masks, "k": k_masks, "x": x_masks}, width)
+    every_block = ((1 << width) - 1) // block  # bit 0 of each block set
+    diff = 0
+    for m in out:
+        diff |= m ^ ((m & block) * every_block)
     slices = [[] for _ in range(n)]
     for bit in range(p):
-        k_masks = [0] * p
-        k_masks[bit] = const_mask(1, n)
-        out = ev.run({"i": i_masks, "k": k_masks, "x": x_masks}, n)
-        diff = 0
-        for a, b in zip(base, out):
-            diff |= a ^ b
-        owners = [lane for lane in range(n) if (diff >> lane) & 1]
+        flipped = (diff >> (n * (bit + 1))) & block
+        owners = [lane for lane in range(n) if (flipped >> lane) & 1]
         if len(owners) != 1:
             raise ValueError(f"key bit {bit} influences {len(owners)} selects, expected 1")
         slices[owners[0]].append(bit)
@@ -102,14 +111,14 @@ def extract_bit(observed_j: int, xs_signed, partial: int, j: int) -> int:
     are checked on the first 2**(j+1) lanes, every x with bits 0..j free
     (all lanes once j reaches ibw).  Exactly one can survive for a true
     multiplication: the two candidate products differ at bit j for x = 1.
+    Setting bit j adds x << j to the product, which carries nothing into
+    bit j, so candidate 1's bit j is candidate 0's flipped where x is odd.
     """
     xs = xs_signed[: 1 << (j + 1)]
     observed = observed_j & ((1 << len(xs)) - 1)
-    matches = []
-    for b in (0, 1):
-        c = partial | (b << j)
-        if pack_bits(((np.int64(c) * xs) >> np.int64(j)) & np.int64(1)) == observed:
-            matches.append(b)
+    bit_j = pack_bits(((np.int64(partial) * xs) >> np.int64(j)) & np.int64(1))
+    candidates = (bit_j, bit_j ^ pack_bits(xs & np.int64(1)))
+    matches = [b for b in (0, 1) if candidates[b] == observed]
     if len(matches) == 1:
         return matches[0]
     if not matches:
@@ -168,10 +177,15 @@ def _signed(v, width: int):
 def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> RecoveredConstantSets:
     """Recover every constant behind every (i, key slice value) pair.
 
-    One netlist run per constant observes product bits 0..cbw-1 on
-    x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads;
-    after `extract_bit` has decided each bit, the constant is
-    spot-checked on ``samples`` random full-width inputs.
+    One netlist run infers the key slices.  One run per constant, with
+    i and k held, observes product bits 0..cbw-1 on
+    x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads,
+    and `extract_bit` decides the bits.  One run per key slice then
+    spot-checks all of the slice's constants, each on ``samples``
+    random full-width inputs (a slice too wide for `SPOT_CHECK_LANES`
+    takes several runs).  The first failure in (slice, constant)
+    order is raised, as if every constant were spot-checked as soon as
+    it was extracted.
     """
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     if cbw + ibw > 63:
@@ -195,23 +209,44 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
                 for j in range(cbw):
                     partial |= extract_bit(observed[j], xs_signed, partial, j) << j
             except (NoConsistentBit, ExtractionAnomaly) as exc:
+                _spot_check(ev, i, bits_i, row, rng, samples)
                 raise type(exc)(f"{exc} for i={i}, k={k:#x}") from None
-            c = _signed(partial, cbw)
-            _verify_constant(ev, i, k, c, rng, samples)
-            row.append(c)
+            row.append(_signed(partial, cbw))
+        _spot_check(ev, i, bits_i, row, rng, samples)
         rows.append(tuple(row))
     return RecoveredConstantSets(R=tuple(rows), cbw=cbw, slices=slices)
 
 
-def _verify_constant(ev, i, k, c, rng, samples):
-    """Full-width random check of f(c, x) == f_r(i, k, x)."""
+def _spot_check(ev, i, bits_i, constants, rng, samples):
+    """Full-width random check of f(c, x) == f_r(i, k, x) for slice values 0, 1, ...
+
+    ``constants[v]`` is the constant extracted for slice value v.  One
+    run holds i and gives value v its own block of ``samples`` lanes,
+    with the block's x values drawn after the previous block's.  A slice
+    with more values than `SPOT_CHECK_LANES` holds takes several runs,
+    in value order.
+    """
     nl = ev.nl
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
-    xs = rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64)
-    observed = ev.run({**_held_masks(nl, i, k, samples), "x": pack_value_bits(xs, ibw)}, samples)
-    products = (np.int64(c) * _signed(xs.astype(np.int64), ibw)).astype(np.uint64)
-    if observed != pack_value_bits(products, cbw + ibw):
-        raise VerificationMismatch(f"extracted constant fails spot check for i={i}, k={k:#x}")
+    per_run = max(1, SPOT_CHECK_LANES // max(samples, 1))
+    for first in range(0, len(constants), per_run):
+        cs = constants[first : first + per_run]
+        xs = np.concatenate([rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64) for _ in cs])
+        width = xs.size
+        slice_values = np.repeat(np.arange(first, first + len(cs), dtype=np.uint64), samples)
+        k_masks = [0] * len(nl.inputs["k"])
+        for pos, m in zip(bits_i, pack_value_bits(slice_values, len(bits_i))):
+            k_masks[pos] = m
+        masks = {**_held_masks(nl, i, 0, width), "k": k_masks, "x": pack_value_bits(xs, ibw)}
+        observed = ev.run(masks, width)
+        products = np.repeat(np.asarray(cs, dtype=np.int64), samples) * _signed(xs.astype(np.int64), ibw)
+        diff = 0
+        for o, e in zip(observed, pack_value_bits(products.astype(np.uint64), cbw + ibw)):
+            diff |= o ^ e
+        for v in range(len(cs)):
+            if (diff >> (v * samples)) & ((1 << samples) - 1):
+                k = _spread(first + v, bits_i)
+                raise VerificationMismatch(f"extracted constant fails spot check for i={i}, k={k:#x}")
 
 
 def recover_coefficient(values, tau: int = 1):

@@ -10,8 +10,9 @@ geometry does not match its ports, or a spec whose ``index``, ``N`` or
 out-of-range parameter (a grid or verify density that is not a finite
 number of at least 1, ``--keys`` below 0, ``--p`` below N, ``--ibw``
 below 2 or too wide for 63-bit outputs, a magnitude width beyond the
-decoy candidate limit) and a key budget the decoy candidates cannot
-cover.  Every error is reported in one line on stderr.
+decoy candidate limit), a key budget the decoy candidates cannot
+cover and an attack ``--ground-truth`` whose coefficient count is not
+the netlist's N.  Every error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def _parse_secret(doc):
     if not 0 <= key.bits < 1 << key.p:
         raise ValueError(f"secret assignment: key_hex does not fit the TMCM's {key.p} key bits")
     return spec, tmcm, key
+
+
+def _parse_truth(coeffs, n: int) -> list:
+    """The true coefficients of a secret assignment, one per tap of an N-tap netlist."""
+    if len(coeffs) != n:
+        raise ValueError(f"ground truth has {len(coeffs)} coefficients but the netlist has N={n}")
+    return coeffs
 
 
 def _config_dict(args, keys) -> dict:
@@ -213,7 +221,8 @@ def cmd_attack(args) -> int:
     truth = None
     if args.ground_truth:
         truth = _load(
-            args.ground_truth, "secret assignment", lambda d: d["quantized"]["coeffs"]
+            args.ground_truth, "secret assignment",
+            lambda d: _parse_truth(d["quantized"]["coeffs"], nl.meta["N"]),
         )
     recovered, verdict, report = _attack(nl, args.seed_attack, truth)
     out = Path(args.out)

@@ -110,6 +110,7 @@ def assign_decoy_single(
         dsm = DecoyMethod.HD if (free.all() and nod == 1) else DecoyMethod.RD
     if dsm is DecoyMethod.HD:
         dist = hamming_to(cands, h_i)
+        d, pool = 0, []
     else:
         # Candidates whose magnitude bit-width is within one of h_i's: cands[lo:hi].
         b = magnitude_bitwidth(h_i)
@@ -119,9 +120,13 @@ def assign_decoy_single(
     picked = []
     for _ in range(nod):
         if dsm is DecoyMethod.HD:
-            # The pool holds only free values, so its first draw is kept.
-            pool = np.flatnonzero(free & (dist == dist[free].min()))
-            j = pool[rng.integers(0, pool.size)]
+            # The pool is the free candidates at the smallest distance
+            # that has any, in index order, and a pick leaves it: each
+            # distance is scanned once per visit, and the first draw is kept.
+            while not pool:
+                pool = np.flatnonzero(free & (dist == d)).tolist()
+                d += 1
+            j = pool.pop(rng.integers(0, len(pool)))
         else:
             if not left:  # the slice is used up: draw from the whole array from now on
                 lo, hi = 0, cands.size

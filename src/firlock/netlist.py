@@ -5,8 +5,8 @@ j drives net ``first_gate_id + j``.  Gates only reference earlier nets,
 so the list is topologically ordered by construction.
 
 The evaluator packs many test vectors into one arbitrary-width Python
-integer per net (one bit per vector), so a single pass over the gate
-list evaluates thousands of input combinations.
+integer per net (one bit per vector), so a single run evaluates
+thousands of input combinations.
 """
 
 from __future__ import annotations
@@ -335,36 +335,21 @@ def const_mask(bit: int, width: int) -> int:
 
 
 class PackedEvaluator:
-    """Bit-parallel netlist evaluation with per-output-bit cones.
+    """Bit-parallel netlist evaluation, pruned by the inputs it is given.
 
     ``run`` takes per-input-bit lane masks and returns lane masks for
-    the requested output bits; restricting to a cone skips every gate
-    the requested bits do not depend on, which matters when scanning
-    low product bits during constant extraction.
+    the requested output bits.  It works back from those bits and
+    evaluates a gate only when the result needs it: a MUX2 whose select
+    is all-0 or all-1 evaluates only the branch it picks, and an AND
+    with an all-0 operand (an OR with an all-1 one) evaluates nothing
+    more.  Inputs held at one value on every lane, as the key and the
+    select are during constant extraction, so leave most of the netlist
+    unevaluated.
     """
 
     def __init__(self, nl: GateNetlist):
         self.nl = nl
         self._first = nl.first_gate_id
-        self._cones = {}
-
-    def _cone(self, out_bits: tuple) -> list:
-        cached = self._cones.get(out_bits)
-        if cached is not None:
-            return cached
-        first = self._first
-        gates = self.nl.gates
-        needed = set()
-        stack = [self.nl.outputs[t] for t in out_bits]
-        while stack:
-            nid = stack.pop()
-            if nid < first or nid in needed:
-                continue
-            needed.add(nid)
-            stack.extend(gates[nid - first][1:])
-        cone = sorted(nid - first for nid in needed)
-        self._cones[out_bits] = cone
-        return cone
 
     def run(self, input_masks: dict, width: int, out_bits=None):
         """Evaluate; ``input_masks`` maps port name to per-bit masks.
@@ -374,7 +359,9 @@ class PackedEvaluator:
         """
         nl = self.nl
         mask = (1 << width) - 1
-        values = [0] * nl.n_nets
+        first = self._first
+        # None marks a gate not evaluated yet; inputs no port names read 0.
+        values = [0] * first + [None] * len(nl.gates)
         values[CONST1] = mask
         for name, ids in nl.inputs.items():
             masks = input_masks[name]
@@ -383,24 +370,63 @@ class PackedEvaluator:
             for nid, m in zip(ids, masks):
                 values[nid] = m
         if out_bits is None:
-            out_bits = tuple(range(len(nl.outputs)))
+            outputs = list(nl.outputs)
         else:
-            out_bits = tuple(out_bits)
-        first = self._first
+            outputs = [nl.outputs[t] for t in out_bits]
         gates = nl.gates
-        for gi in self._cone(out_bits):
-            g = gates[gi]
+        # Depth-first from the outputs: a gate stays on the stack until
+        # the operands it needs are known, and each gate is valued once.
+        stack = outputs[::-1]
+        push = stack.append
+        while stack:
+            nid = stack[-1]
+            if values[nid] is not None:
+                stack.pop()
+                continue
+            g = gates[nid - first]
             op = g[0]
-            if op == OP_AND:
-                v = values[g[1]] & values[g[2]]
-            elif op == OP_OR:
-                v = values[g[1]] | values[g[2]]
+            a = values[g[1]]
+            if op == OP_AND or op == OP_OR:
+                absorbing = 0 if op == OP_AND else mask
+                b = values[g[2]]
+                if a == absorbing or b == absorbing:
+                    v = absorbing
+                elif a is None:
+                    push(g[1])
+                    continue
+                elif b is None:
+                    push(g[2])
+                    continue
+                else:
+                    v = a & b if op == OP_AND else a | b
             elif op == OP_XOR:
-                v = values[g[1]] ^ values[g[2]]
+                b = values[g[2]]
+                if a is None or b is None:
+                    stack += [n for n in g[1:] if values[n] is None]
+                    continue
+                v = a ^ b
             elif op == OP_NOT:
-                v = values[g[1]] ^ mask
+                if a is None:
+                    push(g[1])
+                    continue
+                v = a ^ mask
             else:
-                a = values[g[1]]
-                v = a ^ ((a ^ values[g[2]]) & values[g[3]])
-            values[first + gi] = v
-        return [values[nl.outputs[t]] for t in out_bits]
+                s = values[g[3]]
+                if s is None:
+                    push(g[3])
+                    continue
+                if s == 0 or s == mask:
+                    branch = g[1] if s == 0 else g[2]
+                    v = values[branch]
+                    if v is None:
+                        push(branch)
+                        continue
+                else:
+                    b = values[g[2]]
+                    if a is None or b is None:
+                        stack += [n for n in g[1:3] if values[n] is None]
+                        continue
+                    v = a ^ ((a ^ b) & s)
+            values[nid] = v
+            stack.pop()
+        return [values[nid] for nid in outputs]

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import invert_truth_table
 
+from firlock import attack
 from firlock.attack import (
     InconclusiveClassification,
+    NoConsistentBit,
     RecoveredConstantSets,
+    VerificationMismatch,
     classify_dsm,
     compile_report,
     extract_bit,
@@ -18,8 +21,15 @@ from firlock.attack import (
     recover_coefficient,
 )
 from firlock.decoys import DecoyMethod, assign_decoys, candidate_set
-from firlock.netlist import PackedEvaluator, lower_to_gates, pack_value_bits
-from firlock.tmcm import build_tmcm
+from firlock.netlist import (
+    OP_NOT,
+    OP_XOR,
+    GateNetlist,
+    PackedEvaluator,
+    lower_to_gates,
+    pack_value_bits,
+)
+from firlock.tmcm import ObfuscatedTMCM, build_tmcm
 
 from conftest import ATTACK_SEED, make_quantized, small_tmcms
 
@@ -101,9 +111,9 @@ def test_extraction_matches_ground_truth_multiset():
         assert len(rec.R[i]) == 1 << len(rec.slices[i])
 
 
-def test_extraction_runs_netlist_twice_per_constant(monkeypatch):
-    # Slice inference takes p + 1 runs; each constant then takes one
-    # observation run and one spot-check run, whatever its width.
+def test_extraction_runs_netlist_once_per_constant_and_slice(monkeypatch):
+    # One run infers the key slices, one observes each constant, and one
+    # spot-checks each slice's constants together.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
     runs = []
     original = PackedEvaluator.run
@@ -114,7 +124,70 @@ def test_extraction_runs_netlist_twice_per_constant(monkeypatch):
 
     monkeypatch.setattr(PackedEvaluator, "run", counting_run)
     rec = extract_constants(nl, seed=ATTACK_SEED)
-    assert len(runs) == tmcm.p + 1 + 2 * sum(len(row) for row in rec.R)
+    assert len(runs) == 1 + sum(len(row) for row in rec.R) + tmcm.N
+
+
+def test_spot_check_split_into_runs_per_value_passes_the_same_constants(monkeypatch):
+    qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
+    whole = extract_constants(nl, samples=64, seed=ATTACK_SEED)
+    monkeypatch.setattr(attack, "SPOT_CHECK_LANES", 64)
+    assert extract_constants(nl, samples=64, seed=ATTACK_SEED) == whole
+
+
+def tampered(top_keys, lsb_keys) -> GateNetlist:
+    """One tap, key slice {0}, constants 3 (k = 0) and 5 (k = 1), with faults.
+
+    The top product bit is flipped for the key values in ``top_keys``:
+    the low bits the extraction observes stay intact, so only the spot
+    check can see it.  Product bit 0 is flipped for those in
+    ``lsb_keys``, which leaves that constant's bit 0 inconsistent (x = 0
+    must give 0).
+    """
+    tmcm = ObfuscatedTMCM(N=1, ibw=4, cbw=4, mux_tables=((3, 5),), key_widths=(1,), seed=0)
+    nl = lower_to_gates(tmcm)
+    (k0,) = nl.inputs["k"]
+    gates, outputs = list(nl.gates), list(nl.outputs)
+
+    def add(*gate):
+        gates.append(gate)
+        return nl.first_gate_id + len(gates) - 1
+
+    def flip(t, keys):
+        if keys:
+            when = {(0,): add(OP_NOT, k0), (1,): k0, (0, 1): 1}[tuple(keys)]
+            outputs[t] = add(OP_XOR, outputs[t], when)
+
+    flip(-1, top_keys)
+    flip(0, lsb_keys)
+    bad = GateNetlist(inputs=nl.inputs, outputs=outputs, gates=gates, meta=nl.meta)
+    bad.validate()
+    return bad
+
+
+@pytest.mark.parametrize(
+    "top_keys, lsb_keys, error, message",
+    [
+        ((0,), (1,), VerificationMismatch, "fails spot check for i=0, k=0x0"),
+        ((), (1,), NoConsistentBit, "no constant bit 0 reproduces f_r for i=0, k=0x1"),
+        ((0,), (), VerificationMismatch, "fails spot check for i=0, k=0x0"),
+        ((1,), (), VerificationMismatch, "fails spot check for i=0, k=0x1"),
+        ((0, 1), (), VerificationMismatch, "fails spot check for i=0, k=0x0"),
+    ],
+    ids=[
+        "spot-check-before-extraction", "extraction-only", "spot-check-k0", "spot-check-k1",
+        "spot-check-both",
+    ],
+)
+@pytest.mark.parametrize("lanes", [attack.SPOT_CHECK_LANES, 64], ids=["one-run", "run-per-value"])
+def test_extraction_raises_first_failure_in_constant_order(
+    monkeypatch, lanes, top_keys, lsb_keys, error, message
+):
+    # The spot check of constant 0 comes before the extraction of
+    # constant 1, whether the slice is spot-checked in one run or in one
+    # run per value.
+    monkeypatch.setattr(attack, "SPOT_CHECK_LANES", lanes)
+    with pytest.raises(error, match=message):
+        extract_constants(tampered(top_keys, lsb_keys), samples=64)
 
 
 def test_extraction_recovers_table_order():

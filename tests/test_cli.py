@@ -400,3 +400,41 @@ def test_attack_extraction_failure_exit_1(tmp_path, obfuscate_dir, capsys, edit,
     assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: extraction failed: {message}\n"
     assert not (tmp_path / "recovered.json").exists()
+
+
+@pytest.fixture(scope="module")
+def other_filter_secret(tmp_path_factory, designed):
+    """secret-assignment.json of filter 2 (59 taps), obfuscated through the CLI."""
+    out = tmp_path_factory.mktemp("f2")
+    d = designed(2)
+    quant = out / "filter2.quant.json"
+    quant.write_text(json.dumps({"spec": d.spec.to_json_dict(), **d.qf.to_json_dict()}), "utf-8")
+    assert main(["obfuscate", "--quant", str(quant), "--p", "64", "--out", str(out)]) == 0
+    return out / "secret-assignment.json"
+
+
+@pytest.mark.parametrize(
+    "secret, message",
+    [
+        (lambda obf, tmp, other: other, "ground truth has 59 coefficients but the netlist has N=29"),
+        (
+            lambda obf, tmp, other: _edited(
+                obf / "secret-assignment.json", tmp / "s.json",
+                lambda d: d["quantized"].update(coeffs=d["quantized"]["coeffs"][:5]),
+            ),
+            "ground truth has 5 coefficients but the netlist has N=29",
+        ),
+    ],
+    ids=["other-filter", "truncated"],
+)
+def test_attack_ground_truth_of_another_filter_exit_2(
+    tmp_path, obfuscate_dir, other_filter_secret, capsys, secret, message
+):
+    truth = secret(obfuscate_dir, tmp_path, other_filter_secret)
+    rc = main([
+        "attack", "--netlist", str(obfuscate_dir / "netlist.json"),
+        "--ground-truth", str(truth), "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "report.json").exists()

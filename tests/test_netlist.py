@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
+    OP_AND,
+    OP_NOT,
+    OP_OR,
+    OP_XOR,
     GateNetlist,
     NetlistBuilder,
     PackedEvaluator,
@@ -73,6 +77,51 @@ def test_exhaustive_equivalence_small_widths():
 @given(data=st.data())
 def test_exhaustive_equivalence_random_tables(cbw_minus_ibw, data):
     assert_gates_match_word_level(data.draw(small_tmcms(cbw_minus_ibw)))
+
+
+def linear_run(nl, input_masks, width):
+    """Every gate in list order, no pruning: the reference for `PackedEvaluator.run`."""
+    mask = (1 << width) - 1
+    values = [0] * nl.n_nets
+    values[1] = mask
+    for name, ids in nl.inputs.items():
+        for nid, m in zip(ids, input_masks[name]):
+            values[nid] = m
+    for j, (op, *operands) in enumerate(nl.gates):
+        v = [values[n] for n in operands]
+        if op == OP_AND:
+            out = v[0] & v[1]
+        elif op == OP_OR:
+            out = v[0] | v[1]
+        elif op == OP_XOR:
+            out = v[0] ^ v[1]
+        elif op == OP_NOT:
+            out = v[0] ^ mask
+        else:
+            out = (v[0] & ~v[2]) | (v[1] & v[2])  # MUX2: b where s, else a
+        values[nl.first_gate_id + j] = out
+    return [values[n] for n in nl.outputs]
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pruned_run_matches_linear_evaluation(cbw_minus_ibw, data):
+    # i and k are each either held (every bit all-0 or all-1, as during
+    # extraction, so MUX2/AND/OR pruning applies) or random per lane.
+    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    width = data.draw(st.integers(1, 80))
+    mask = (1 << width) - 1
+    masks = {}
+    for port, ids in nl.inputs.items():
+        held = port != "x" and data.draw(st.booleans(), label=f"hold {port}")
+        lane = st.sampled_from([0, mask]) if held else st.integers(0, mask)
+        masks[port] = data.draw(st.lists(lane, min_size=len(ids), max_size=len(ids)), label=port)
+    expected = linear_run(nl, masks, width)
+    assert PackedEvaluator(nl).run(masks, width) == expected
+    order = data.draw(st.permutations(range(len(nl.outputs))), label="out_bits")
+    subset = order[: data.draw(st.integers(1, len(order)))]
+    assert PackedEvaluator(nl).run(masks, width, out_bits=subset) == [expected[t] for t in subset]
 
 
 def test_zero_input_gives_zero_product():
