@@ -16,60 +16,8 @@ The pipeline stages:
    wrong keys (`firlock.evaluate`).
 
 The ``firlock`` command line tool orchestrates the stages with file-based
-handoff; see `firlock.cli`.
+handoff; see `firlock.cli`.  The Python API is each submodule's
+``__all__``; the package itself re-exports nothing.
 """
-
-from firlock.design import (
-    BoundSet,
-    FilterSpec,
-    FrequencyGrid,
-    InfeasibleSpec,
-    QuantizedFilter,
-    RealCoefficients,
-    ViolationReport,
-    build_frequency_grid,
-    coefficient_bounds,
-    design_coefficients,
-    quantize,
-    verify_spec,
-)
-from firlock.decoys import (
-    DecoyAssignment,
-    DecoyMethod,
-    EmptyCandidateSet,
-    InsufficientCandidates,
-    assign_decoy_single,
-    assign_decoys,
-    candidate_set,
-)
-from firlock.tmcm import (
-    ObfuscatedTMCM,
-    SecretKey,
-    build_tmcm,
-    reference_convolution,
-    simulate_filter,
-    tmcm_multiply,
-    tmcm_select,
-)
-from firlock.netlist import GateNetlist, PackedEvaluator, lower_to_gates
-from firlock.verilog import emit_verilog
-from firlock.attack import (
-    DsmVerdict,
-    RecoveredConstantSets,
-    RecoveryReport,
-    classify_dsm,
-    compile_report,
-    extract_constants,
-    recover_coefficient,
-)
-from firlock.evaluate import (
-    BehaviorReport,
-    WrongKeySample,
-    behavior_report,
-    effective_coefficients,
-    emit_curves,
-    sample_wrong_keys,
-    single_slice_corruptions,
-)
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ from firlock.netlist import GateNetlist, PackedEvaluator, const_mask, pack_bits,
 
 __all__ = [
     "DsmVerdict",
-    "ExtractionAnomaly",
     "InconclusiveClassification",
     "NoConsistentBit",
     "RecoveredConstantSets",
@@ -56,10 +55,6 @@ SPOT_CHECK_LANES = 1 << 14
 
 class NoConsistentBit(Exception):
     """Neither bit value matches: the block is not a constant multiplier here."""
-
-
-class ExtractionAnomaly(Exception):
-    """Both bit values matched, impossible for a true multiplication."""
 
 
 class VerificationMismatch(Exception):
@@ -109,21 +104,21 @@ def extract_bit(observed_j: int, xs_signed, partial: int, j: int) -> int:
     ``observed_j`` is the netlist's product bit j on lanes x = 0, 1, ...
     (``xs_signed`` reads them as signed words).  Both candidate values
     are checked on the first 2**(j+1) lanes, every x with bits 0..j free
-    (all lanes once j reaches ibw).  Exactly one can survive for a true
-    multiplication: the two candidate products differ at bit j for x = 1.
-    Setting bit j adds x << j to the product, which carries nothing into
-    bit j, so candidate 1's bit j is candidate 0's flipped where x is odd.
+    (all lanes once j reaches ibw).  Setting bit j adds x << j to the
+    product, which carries nothing into bit j, so candidate 1's bit j is
+    candidate 0's flipped where x is odd.  The checked lanes include
+    x = 1, so the two candidates always differ and at most one matches;
+    when neither does, the block is no constant multiplier and
+    `NoConsistentBit` is raised.
     """
     xs = xs_signed[: 1 << (j + 1)]
     observed = observed_j & ((1 << len(xs)) - 1)
     bit_j = pack_bits(((np.int64(partial) * xs) >> np.int64(j)) & np.int64(1))
-    candidates = (bit_j, bit_j ^ pack_bits(xs & np.int64(1)))
-    matches = [b for b in (0, 1) if candidates[b] == observed]
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
-    raise ExtractionAnomaly(f"both values of bit {j} match")
+    if bit_j == observed:
+        return 0
+    if bit_j ^ pack_bits(xs & np.int64(1)) == observed:
+        return 1
+    raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
 
 
 def _spread(value: int, bit_positions) -> int:
@@ -148,10 +143,6 @@ class RecoveredConstantSets:
     @property
     def N(self) -> int:
         return len(self.R)
-
-    @property
-    def p(self) -> int:
-        return sum(len(s) for s in self.slices)
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,9 +199,9 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
             try:
                 for j in range(cbw):
                     partial |= extract_bit(observed[j], xs_signed, partial, j) << j
-            except (NoConsistentBit, ExtractionAnomaly) as exc:
+            except NoConsistentBit as exc:
                 _spot_check(ev, i, bits_i, row, rng, samples)
-                raise type(exc)(f"{exc} for i={i}, k={k:#x}") from None
+                raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
             row.append(_signed(partial, cbw))
         _spot_check(ev, i, bits_i, row, rng, samples)
         rows.append(tuple(row))
@@ -249,17 +240,16 @@ def _spot_check(ev, i, bits_i, constants, rng, samples):
                 raise VerificationMismatch(f"extracted constant fails spot check for i={i}, k={k:#x}")
 
 
-def recover_coefficient(values, tau: int = 1):
+def recover_coefficient(values):
     """Hub test on one constant set: the coefficient, or None if undecided.
 
-    A two-element set is always undecided; for larger sets the unique
-    element within Hamming distance tau of all others (and the only one
-    with that property) is reported as the coefficient.
+    A two-element set is always undecided; for a larger set the hub
+    `hub_element` finds, if unique, is reported as the coefficient.
     """
     vals = list(values)
     if len(vals) <= 2:
         return None
-    return hub_element(vals, tau)
+    return hub_element(vals)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,8 @@
 
 Stages hand data over through files; every JSON artifact echoes the
 run configuration (seeds included) so any output can be regenerated
-byte-identically.  Exit codes: 0 success, 1 infeasible spec or attack
-failure, 2 usage or I/O problems, which include a missing, malformed or
-self-contradicting input artifact (such as a netlist whose ``meta``
-geometry does not match its ports, or a spec whose ``index``, ``N`` or
-``Q`` is not an integer or whose ``Q`` lies outside 1..62), an
-out-of-range parameter (a grid or verify density that is not a finite
-number of at least 1, ``--keys`` below 0, ``--p`` below N, ``--ibw``
-below 2 or too wide for 63-bit outputs, a magnitude width beyond the
-decoy candidate limit), a key budget the decoy candidates cannot
-cover and an attack ``--ground-truth`` whose coefficient count is not
-the netlist's N.  Every error is reported in one line on stderr.
+byte-identically.  The exit codes are listed in the README ("Exit
+codes"); every error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +24,6 @@ from firlock import evaluate as ev
 
 __all__ = ["main", "bundled_spec_text"]
 
-BENCH_FILTERS = (1, 2, 3)
 BENCH_KEY_BITS = {1: 32, 2: 64, 3: 128}
 
 
@@ -69,11 +59,13 @@ def _load(path, what: str, parse):
 
 
 def _parse_quant(doc):
-    """A quantized filter and the spec dict it was designed for, whose N it matches."""
+    """A quantized filter and the spec dict it was designed for, whose N and Q it matches."""
     qf = fd.QuantizedFilter.from_json_dict(doc)
     spec = fd.FilterSpec.from_json_dict(doc["spec"])
     if spec.N != qf.N:
         raise ValueError(f"quantized filter: spec has N={spec.N} but there are {qf.N} coefficients")
+    if spec.Q != qf.Q:
+        raise ValueError(f"quantized filter: spec has Q={spec.Q} but the filter has Q={qf.Q}")
     return qf, doc["spec"]
 
 
@@ -119,8 +111,9 @@ def _parse_truth(coeffs, n: int) -> list:
     return coeffs
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _config_dict(args) -> dict:
+    """The parsed options of the subcommand, the ``run_config`` of its artifacts."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
 
 
 def _run_design(spec: fd.FilterSpec, grid_density: float):
@@ -132,7 +125,7 @@ def _run_design(spec: fd.FilterSpec, grid_density: float):
 
 def cmd_design(args) -> int:
     spec = _load(args.spec, "spec", fd.FilterSpec.from_json_dict)
-    config = _config_dict(args, ["spec", "grid_density", "verify_density", "out"])
+    config = _config_dict(args)
     vgrid = fd.build_frequency_grid(spec, args.verify_density)
     coeffs, bounds, qf = _run_design(spec, args.grid_density)
     report = fd.verify_spec(qf, spec, vgrid)
@@ -177,9 +170,8 @@ def _obfuscate(qf, dsm, p, ibw, seed):
 
 def cmd_obfuscate(args) -> int:
     qf, spec_dict = _load(args.quant, "quantized filter", _parse_quant)
-    config = _config_dict(args, ["quant", "dsm", "p", "ibw", "seed_obfuscate", "out"])
-    dsm = dc.DecoyMethod.parse(args.dsm)
-    da, tmcm, key, nl = _obfuscate(qf, dsm, args.p, args.ibw, args.seed_obfuscate)
+    config = _config_dict(args)
+    da, tmcm, key, nl = _obfuscate(qf, args.dsm, args.p, args.ibw, args.seed_obfuscate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "netlist.json", {**nl.to_json_dict(), "run_config": config})
@@ -216,7 +208,7 @@ def _attack(nl, seed, truth):
 
 
 def cmd_attack(args) -> int:
-    config = _config_dict(args, ["netlist", "seed_attack", "ground_truth", "out"])
+    config = _config_dict(args)
     nl = _load(args.netlist, "netlist", _parse_netlist)
     truth = None
     if args.ground_truth:
@@ -236,9 +228,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _config_dict(
-        args, ["secret", "keys", "max_hd", "seed_eval", "curve_points", "verify_density", "out"]
-    )
+    config = _config_dict(args)
     spec, tmcm, key = _load(args.secret, "secret assignment", _parse_secret)
     wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
     report = ev.behavior_report(
@@ -260,14 +250,11 @@ def cmd_bench(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     methods = ("hd", "rd", "hdrd") if args.dsm == "all" else (args.dsm,)
     rows = []
-    for index in BENCH_FILTERS:
+    for index, p in BENCH_KEY_BITS.items():
         spec = fd.FilterSpec.from_json_dict(json.loads(bundled_spec_text(index)))
         _, _, qf = _run_design(spec, args.grid_density)
-        p = BENCH_KEY_BITS[index]
         for method in methods:
-            da, tmcm, key, nl = _obfuscate(
-                qf, dc.DecoyMethod.parse(method), p, args.ibw, args.seed_obfuscate
-            )
+            da, tmcm, key, nl = _obfuscate(qf, method, p, args.ibw, args.seed_obfuscate)
             _, verdict, report = _attack(nl, args.seed_attack, qf.coeffs)
             wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
             wrong += ev.single_slice_corruptions(key)
@@ -357,7 +344,7 @@ def main(argv=None) -> int:
     except fd.InfeasibleSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (atk.NoConsistentBit, atk.VerificationMismatch, atk.ExtractionAnomaly) as exc:
+    except (atk.NoConsistentBit, atk.VerificationMismatch) as exc:
         print(f"error: extraction failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, dc.InsufficientCandidates, dc.EmptyCandidateSet) as exc:

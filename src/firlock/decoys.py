@@ -52,10 +52,6 @@ class DecoyMethod(str, Enum):
     RD = "rd"
     HDRD = "hdrd"
 
-    @classmethod
-    def parse(cls, text: str) -> "DecoyMethod":
-        return cls(text.strip().lower())
-
 
 class EmptyCandidateSet(Exception):
     """Sign and range constraints leave no legal decoy value."""
@@ -178,7 +174,7 @@ class DecoyAssignment:
 def assign_decoys(
     qf: QuantizedFilter,
     p: int,
-    dsm: DecoyMethod,
+    dsm: DecoyMethod | str,
     seed: int,
 ) -> DecoyAssignment:
     """Distribute p key bits of decoys over all N coefficients.

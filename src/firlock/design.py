@@ -302,6 +302,11 @@ class QuantizedFilter:
         n, n_l, n_u = len(self.coeffs), len(self.bounds_l), len(self.bounds_u)
         if not n == n_l == n_u:
             raise ValueError(f"quantized filter: {n} coefficients but {n_l}/{n_u} lower/upper bounds")
+        widest = max(map(magnitude_bitwidth, self.coeffs.tolist()), default=0)
+        if self.mbw != widest:
+            raise ValueError(
+                f"quantized filter: mbw={self.mbw} but the widest coefficient has {widest} bits"
+            )
 
     @property
     def N(self) -> int:
@@ -326,6 +331,10 @@ class QuantizedFilter:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuantizedFilter":
+        for name in ("coeffs", "bounds_l", "bounds_u"):
+            for v in d[name]:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValueError(f"quantized filter {name} must hold integers, got {v!r}")
         qf = cls(
             coeffs=np.asarray(d["coeffs"], dtype=np.int64),
             bounds_l=np.asarray(d["bounds_l"], dtype=np.int64),

@@ -46,8 +46,6 @@ class WrongKeySample:
     """Distinct wrong keys within a Hamming ball of the secret."""
 
     keys: tuple
-    max_hd: int
-    seed: int
 
 
 def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> WrongKeySample:
@@ -81,7 +79,7 @@ def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> 
                 seen.add(key)
                 keys.append(key)
         keys = tuple(keys)
-    return WrongKeySample(keys=keys, max_hd=max_hd, seed=seed)
+    return WrongKeySample(keys=keys)
 
 
 def single_slice_corruptions(secret: SecretKey) -> list:
@@ -215,8 +213,7 @@ def behavior_report(
 def emit_curves(report: BehaviorReport) -> str:
     """CSV of the per-key zero-phase curves; key id 0 is the correct key."""
     lines = ["key_id,w_over_pi,gain"]
-    w_over_pi = report.curve_w / np.pi
+    w_over_pi = [f"{w:.10g}" for w in (report.curve_w / np.pi).tolist()]
     for key_id, entry in enumerate(report.entries):
-        for w, g in zip(w_over_pi, entry.curve):
-            lines.append(f"{key_id},{w:.10g},{g:.10g}")
+        lines += [f"{key_id},{w},{g:.10g}" for w, g in zip(w_over_pi, entry.curve.tolist())]
     return "\n".join(lines) + "\n"

@@ -11,6 +11,8 @@ import numpy as np
 
 __all__ = ["hamming_distance", "hamming_to", "hub_element"]
 
+HUB_TAU = 1  # largest distance from a hub to every other element of its set
+
 
 def hamming_distance(a: int, b: int) -> int:
     """Hamming distance between the magnitude bits of two integers."""
@@ -23,19 +25,18 @@ def hamming_to(values: np.ndarray, target: int) -> np.ndarray:
     return np.bitwise_count(mags ^ np.uint64(abs(int(target))))
 
 
-def hub_element(values, tau: int = 1):
-    """The unique element within distance ``tau`` of all others, if any.
+def hub_element(values):
+    """The unique element within distance `HUB_TAU` of all others, if any.
 
     Returns the hub value when exactly one element of ``values`` has
-    magnitude-bit Hamming distance <= tau to every other element, and
-    ``None`` otherwise (no hub, or several candidates).
+    magnitude-bit Hamming distance <= `HUB_TAU` to every other element,
+    and ``None`` otherwise (no hub, or several, as when two elements
+    share a magnitude and sit within `HUB_TAU` of the rest).
     """
     vals = [int(v) for v in values]
     hubs = [
         v
         for idx, v in enumerate(vals)
-        if all(hamming_distance(v, u) <= tau for j, u in enumerate(vals) if j != idx)
+        if all(hamming_distance(v, u) <= HUB_TAU for j, u in enumerate(vals) if j != idx)
     ]
-    if len(hubs) == 1:
-        return hubs[0]
-    return None
+    return hubs[0] if len(hubs) == 1 else None

@@ -67,8 +67,6 @@ class GateNetlist:
         if input_ids and (min(input_ids) < 2 or max(input_ids) >= first):
             raise ValueError("input net ids out of range")
         for j, gate in enumerate(self.gates):
-            if gate[0] not in range(len(OP_NAMES)):
-                raise ValueError(f"gate {j}: unknown op {gate[0]}")
             for operand in gate[1:]:
                 if not 0 <= operand < first + j:
                     raise ValueError(f"gate {j} references net {operand} not yet defined")

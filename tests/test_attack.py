@@ -242,8 +242,8 @@ def test_hub_recovery_pair_undecided():
 
 
 def test_hub_recovery_no_unique_hub():
-    # 4 and 6 are both within distance 1 of everything else.
-    assert recover_coefficient([4, 6, 5, 7], tau=2) is None
+    # 5 and -5 share a magnitude one bit from 4: all three are hubs.
+    assert recover_coefficient([5, -5, 4]) is None
 
 
 @pytest.mark.parametrize("dsm", [DecoyMethod.RD, DecoyMethod.HDRD])

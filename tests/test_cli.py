@@ -1,5 +1,6 @@
 """Command line pipeline: files in, files out, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -320,12 +321,31 @@ def test_evaluate_nan_verify_density_exit_2(tmp_path, obfuscate_dir, capsys):
 
 def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsys):
     doc = json.loads((design_dir / "filter1.quant.json").read_text())
+    doc["coeffs"][0] = doc["bounds_u"][0] = 1 << 39
     doc["mbw"] = 40
     bad = tmp_path / "q.json"
     bad.write_text(json.dumps(doc), "utf-8")
     rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
     assert rc == 2
     assert "24-bit limit" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["coeffs"].__setitem__(0, 12.5), "coeffs must hold integers, got 12.5"),
+        (lambda d: d["bounds_l"].__setitem__(0, "12"), "bounds_l must hold integers, got '12'"),
+        (lambda d: d.update(mbw=d["mbw"] + 1), "mbw=14 but the widest coefficient has 13 bits"),
+        (lambda d: d.update(Q=13), "spec has Q=14 but the filter has Q=13"),
+    ],
+    ids=["coeff-float", "bound-str", "mbw-wider", "Q-13"],
+)
+def test_obfuscate_quant_contradicting_itself_exit_2(tmp_path, design_dir, capsys, edit, message):
+    bad = _edited(design_dir / "filter1.quant.json", tmp_path / "q.json", edit)
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "netlist.json").exists()
 
 
 def test_evaluate_secret_spec_n_mismatch_exit_2(tmp_path, obfuscate_dir, capsys):
@@ -375,6 +395,27 @@ def test_evaluate_negative_keys_exit_2(tmp_path, obfuscate_dir, capsys):
     ids=["output-removed", "cbw-13", "cbw-0", "ibw-0", "ibw-31", "N-40", "p-31"],
 )
 def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
+    bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
+    assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "recovered.json").exists()
+
+
+# Each edit breaks the structure `GateNetlist.from_json_dict` checks.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["inputs"]["x"].__setitem__(0, 1), "input net ids out of range"),
+        (lambda d: d["inputs"]["x"].__setitem__(-1, d["n_nets"]), "input net ids out of range"),
+        (lambda d: d["gates"][0].update(a=-1), "gate 0 references net -1 not yet defined"),
+        (lambda d: d["gates"][5].update(a=d["n_nets"] - 1), "gate 5 references net"),
+        (lambda d: d["outputs"].__setitem__(0, d["n_nets"]), "output references unknown net"),
+        (lambda d: d.update(n_nets=d["n_nets"] + 1), "net count mismatch"),
+    ],
+    ids=["input-const", "input-past-gates", "operand-negative", "operand-later", "output-unknown",
+         "n-nets"],
+)
+def test_attack_malformed_netlist_structure_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
     assert main(["attack", "--netlist", str(bad), "--out", str(tmp_path)]) == 2
     assert message in _one_line_error(capsys)
@@ -438,3 +479,62 @@ def test_attack_ground_truth_of_another_filter_exit_2(
     assert rc == 2
     assert message in _one_line_error(capsys)
     assert not (tmp_path / "report.json").exists()
+
+
+def test_attack_all_pairs_is_inconclusive(tmp_path, design_dir, capsys):
+    # p = N gives every coefficient one decoy, so every constant set is a pair.
+    obf, atk = tmp_path / "obf", tmp_path / "atk"
+    quant = str(design_dir / "filter1.quant.json")
+    assert main(["obfuscate", "--quant", quant, "--p", "29", "--out", str(obf)]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--netlist", str(obf / "netlist.json"), "--out", str(atk)]) == 0
+    assert capsys.readouterr().out == "attack: vc=0, cdc=n/a, apc=2^29, dsm=inconclusive\n"
+    assert json.loads((atk / "report.json").read_text())["dsm_verdict"] is None
+
+
+def test_bench_filter_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("firlock.cli.BENCH_KEY_BITS", {1: 32})
+    assert main(["bench", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "filter    p   dsm    acc   vc  cdc    apc wrong-key viol.\n"
+        "     1   32    hd   1.00    3    3   2^26           1.000\n"
+        "     1   32    rd   0.00    3    0   2^32           1.000\n"
+        "     1   32  hdrd   0.00    3    0   2^32           1.000\n"
+    )
+    row = {"filter": 1, "p": 32, "vc": 3, "violation_fraction": 1.0}
+    assert json.loads((tmp_path / "bench.json").read_text())["rows"] == [
+        {**row, "dsm": "hd", "acc": 1.0, "cdc": 3, "apc_log2": 26},
+        {**row, "dsm": "rd", "acc": 0.0, "cdc": 0, "apc_log2": 32},
+        {**row, "dsm": "hdrd", "acc": 0.0, "cdc": 0, "apc_log2": 32},
+    ]
+
+
+# sha256 of the integer artifacts of filter 1, p = 32, hdrd.  The files
+# holding LP or BLAS floats (*.float.json, *.verify.json, behavior.json,
+# curves.csv) are left to the rerun tests.
+PINNED_ARTIFACTS = {
+    "d/filter1.quant.json": "95532135afad0f8ca9be850f622c587c0a035cc786d452ebaf6498b7bea11437",
+    "o/netlist.json": "f7c3d60c9424e23f9eebcf914722a0fa7b996e34f0a1d96e2734c09718b7d26c",
+    "o/design.v": "91ddd6f34bb43e114249c2277a640378e205c4daf80a5dc472ce5a47cd9b1957",
+    "o/key.hex": "14d730d77894f306f6bf194a08511b70ed989106032b3a571375e0ab64100130",
+    "o/layout.json": "6bb2bc38c4424a7e5deaf0a901d1ac4b81b915a734318e77560055e74df1eb96",
+    "o/secret-assignment.json": "8e0f36b6b9a90e4fef1fc5dba99f125bfdf9d0bdf06844f5f8558f9a1cd85bae",
+    "a/recovered.json": "01256c2cce9ceb5e669b737e5650ef62bcb0550fe57017b398835ad82203db42",
+    "a/report.json": "12c9189b71750eb23e0546e278418bc292ea4ec736a626d42ccb3e34de23b8d6",
+}
+
+
+def test_integer_artifacts_pinned(tmp_path, monkeypatch):
+    # Relative paths, since every artifact echoes its argv.
+    monkeypatch.chdir(tmp_path)
+    Path("filter1.json").write_text(bundled_spec_text(1), "utf-8")
+    assert main(["design", "--spec", "filter1.json", "--out", "d"]) == 0
+    assert main([
+        "obfuscate", "--quant", "d/filter1.quant.json", "--dsm", "hdrd", "--p", "32", "--out", "o",
+    ]) == 0
+    assert main([
+        "attack", "--netlist", "o/netlist.json", "--ground-truth", "o/secret-assignment.json",
+        "--out", "a",
+    ]) == 0
+    digests = {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in PINNED_ARTIFACTS}
+    assert digests == PINNED_ARTIFACTS

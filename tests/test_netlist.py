@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
     OP_AND,
+    OP_MUX2,
     OP_NOT,
     OP_OR,
     OP_XOR,
@@ -122,6 +123,36 @@ def test_pruned_run_matches_linear_evaluation(cbw_minus_ibw, data):
     order = data.draw(st.permutations(range(len(nl.outputs))), label="out_bits")
     subset = order[: data.draw(st.integers(1, len(order)))]
     assert PackedEvaluator(nl).run(masks, width, out_bits=subset) == [expected[t] for t in subset]
+
+
+@st.composite
+def random_netlists(draw):
+    """Netlists built gate by gate, each gate reading only earlier nets."""
+    n_in = draw(st.integers(1, 4))
+    first = 2 + n_in
+    gates = []
+    for j in range(draw(st.integers(1, 24))):
+        op = draw(st.integers(OP_AND, OP_MUX2))
+        arity = 1 if op == OP_NOT else 3 if op == OP_MUX2 else 2
+        net = st.integers(0, first + j - 1)
+        gates.append((op, *draw(st.lists(net, min_size=arity, max_size=arity))))
+    outputs = draw(st.lists(st.integers(0, first + len(gates) - 1), min_size=1, max_size=6))
+    return GateNetlist(inputs={"a": list(range(2, first))}, outputs=outputs, gates=gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_matches_linear_evaluation_on_random_netlists(data):
+    # Unlike lowered netlists, these feed NOTs and MUX2 selects from gates
+    # as well as from inputs, as an untrusted netlist may.
+    nl = data.draw(random_netlists())
+    nl.validate()
+    width = data.draw(st.integers(1, 64))
+    mask = (1 << width) - 1
+    lane = st.one_of(st.sampled_from([0, mask]), st.integers(0, mask))
+    n_in = len(nl.inputs["a"])
+    masks = {"a": data.draw(st.lists(lane, min_size=n_in, max_size=n_in))}
+    assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
 
 
 def test_zero_input_gives_zero_product():
