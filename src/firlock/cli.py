@@ -59,13 +59,17 @@ def _load(path, what: str, parse):
 
 
 def _parse_quant(doc):
-    """A quantized filter and the spec dict it was designed for, whose N and Q it matches."""
+    """A quantized filter, symmetric as designed, and the spec dict whose N and Q it matches."""
     qf = fd.QuantizedFilter.from_json_dict(doc)
     spec = fd.FilterSpec.from_json_dict(doc["spec"])
     if spec.N != qf.N:
         raise ValueError(f"quantized filter: spec has N={spec.N} but there are {qf.N} coefficients")
     if spec.Q != qf.Q:
         raise ValueError(f"quantized filter: spec has Q={spec.Q} but the filter has Q={qf.Q}")
+    for name in ("coeffs", "bounds_l", "bounds_u"):
+        values = getattr(qf, name).tolist()
+        if values != values[::-1]:
+            raise ValueError(f"quantized filter: {name} is not symmetric")
     return qf, doc["spec"]
 
 
@@ -290,8 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="LP design, bounds, quantization")
     p_design.add_argument("--spec", required=True, help="filter spec JSON file")
-    p_design.add_argument("--grid-density", type=float, default=16.0, dest="grid_density")
-    p_design.add_argument("--verify-density", type=float, default=160.0, dest="verify_density")
+    p_design.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY,
+                          dest="grid_density")
+    p_design.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY,
+                          dest="verify_density")
     p_design.add_argument("--out", default=".")
     p_design.set_defaults(func=cmd_design)
 
@@ -317,15 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--keys", type=int, default=50, help="wrong keys to sample")
     p_eval.add_argument("--max-hd", type=int, default=4, dest="max_hd")
     p_eval.add_argument("--seed-eval", type=int, default=3, dest="seed_eval")
-    p_eval.add_argument("--curve-points", type=int, default=257, dest="curve_points")
-    p_eval.add_argument("--verify-density", type=float, default=160.0, dest="verify_density")
+    p_eval.add_argument("--curve-points", type=int, default=ev.CURVE_POINTS, dest="curve_points")
+    p_eval.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY,
+                        dest="verify_density")
     p_eval.add_argument("--out", default=".")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_bench = sub.add_parser("bench", help="all three reference filters end to end")
     p_bench.add_argument("--dsm", choices=["hd", "rd", "hdrd", "all"], default="all")
     p_bench.add_argument("--ibw", type=int, default=32)
-    p_bench.add_argument("--grid-density", type=float, default=16.0, dest="grid_density")
+    p_bench.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY,
+                         dest="grid_density")
     p_bench.add_argument("--keys", type=int, default=50)
     p_bench.add_argument("--max-hd", type=int, default=4, dest="max_hd")
     p_bench.add_argument("--seed-obfuscate", type=int, default=1, dest="seed_obfuscate")
@@ -347,7 +355,8 @@ def main(argv=None) -> int:
     except (atk.NoConsistentBit, atk.VerificationMismatch) as exc:
         print(f"error: extraction failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, dc.InsufficientCandidates, dc.EmptyCandidateSet) as exc:
+    except (OSError, MemoryError, ValueError,
+            dc.InsufficientCandidates, dc.EmptyCandidateSet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

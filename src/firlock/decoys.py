@@ -137,29 +137,31 @@ def assign_decoy_single(
 
 @dataclass(frozen=True)
 class DecoyAssignment:
-    """Decoy lists per coefficient plus the key budget they consume.
+    """Decoy lists per coefficient; they fix the key budget they consume.
 
-    ``nd[i] + 1`` is always a power of two (table-friendly), and the
-    per-coefficient key slice widths ``ceil(log2(nd_i + 1))`` sum to p.
+    ``nd[i] = len(D[i])`` is one less than a power of two (table-friendly),
+    and the per-coefficient key slice widths ``log2(nd_i + 1)`` sum to p.
     """
 
-    nd: tuple
     D: tuple
-    p: int
     dsm: DecoyMethod
     seed: int
 
-    def __post_init__(self):
-        if sum(self.key_widths) != self.p:
-            raise ValueError("key slice widths do not sum to p")
+    @property
+    def nd(self) -> tuple:
+        return tuple(map(len, self.D))
 
     @property
     def N(self) -> int:
-        return len(self.nd)
+        return len(self.D)
 
     @property
     def key_widths(self) -> tuple:
         return tuple((n + 1).bit_length() - 1 for n in self.nd)
+
+    @property
+    def p(self) -> int:
+        return sum(self.key_widths)
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,4 +212,4 @@ def assign_decoys(
         for i in range(N):
             if r < visits[i]:
                 D[i] += assign_decoy_single(1 << r, cands[i], free[i], coeffs[i], dsm, rng)
-    return DecoyAssignment(nd=tuple(map(len, D)), D=tuple(map(tuple, D)), p=p, dsm=dsm, seed=seed)
+    return DecoyAssignment(D=tuple(map(tuple, D)), dsm=dsm, seed=seed)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,11 @@ BAND_TYPES = ("low-pass", "high-pass")
 
 # Uniform feasibility target for every discretized band constraint.
 LP_RESIDUAL_TOL = 1e-8
+
+# Default grid points per tap and band: the design LPs' grid, and the
+# ten times finer grid that audits a response against its spec.
+GRID_DENSITY = 16.0
+VERIFY_DENSITY = 160.0
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
@@ -152,7 +158,7 @@ class FrequencyGrid:
     stopband: np.ndarray
 
 
-def build_frequency_grid(spec: FilterSpec, density: float = 16.0) -> FrequencyGrid:
+def build_frequency_grid(spec: FilterSpec, density: float = GRID_DENSITY) -> FrequencyGrid:
     """Uniform grid of ``ceil(density * N)`` points per band, edges included.
 
     For a low-pass spec the passband is [0, wp*pi] and the stopband
@@ -288,29 +294,28 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
 class QuantizedFilter:
     """Integer filter in units of 2**-Q, with per-tap integer bounds.
 
-    All three arrays cover the full length N and are symmetric;
-    ``mbw`` is the maximum magnitude bit-width over the coefficients.
+    All three arrays cover the full length N and are symmetric; N and
+    ``mbw``, the widest coefficient's magnitude bit-width, are derived
+    from the coefficients.
     """
 
     coeffs: np.ndarray
     bounds_l: np.ndarray
     bounds_u: np.ndarray
     Q: int
-    mbw: int
 
     def __post_init__(self):
         n, n_l, n_u = len(self.coeffs), len(self.bounds_l), len(self.bounds_u)
         if not n == n_l == n_u:
             raise ValueError(f"quantized filter: {n} coefficients but {n_l}/{n_u} lower/upper bounds")
-        widest = max(map(magnitude_bitwidth, self.coeffs.tolist()), default=0)
-        if self.mbw != widest:
-            raise ValueError(
-                f"quantized filter: mbw={self.mbw} but the widest coefficient has {widest} bits"
-            )
 
     @property
     def N(self) -> int:
         return len(self.coeffs)
+
+    @cached_property
+    def mbw(self) -> int:
+        return max(map(magnitude_bitwidth, self.coeffs.tolist()), default=0)
 
     @property
     def M(self) -> int:
@@ -340,8 +345,11 @@ class QuantizedFilter:
             bounds_l=np.asarray(d["bounds_l"], dtype=np.int64),
             bounds_u=np.asarray(d["bounds_u"], dtype=np.int64),
             Q=int(d["Q"]),
-            mbw=int(d["mbw"]),
         )
+        if int(d["mbw"]) != qf.mbw:
+            raise ValueError(
+                f"quantized filter: mbw={d['mbw']} but the widest coefficient has {qf.mbw} bits"
+            )
         if qf.N != int(d["N"]):
             raise ValueError("coefficient count does not match N")
         return qf
@@ -362,14 +370,11 @@ def quantize(coeffs: RealCoefficients, bounds: BoundSet, Q: int) -> QuantizedFil
     qh = np.ceil(coeffs.h * scale).astype(np.int64)
     ql = np.ceil(bounds.lower * scale).astype(np.int64)
     qu = np.ceil(bounds.upper * scale).astype(np.int64)
-    full = _mirror(qh)
-    mbw = max(magnitude_bitwidth(int(v)) for v in full)
     return QuantizedFilter(
-        coeffs=full,
+        coeffs=_mirror(qh),
         bounds_l=_mirror(ql),
         bounds_u=_mirror(qu),
         Q=Q,
-        mbw=mbw,
     )
 
 

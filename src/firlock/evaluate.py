@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from firlock.design import FilterSpec, build_frequency_grid, response_matrix
+from firlock.design import VERIFY_DENSITY, FilterSpec, build_frequency_grid, response_matrix
 from firlock.tmcm import ObfuscatedTMCM, SecretKey, _key_bits, simulate_filter
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-8
+
+# Frequencies, evenly spaced over [0, pi], of each key's exported curve.
+CURVE_POINTS = 257
 
 # Below this ball size the Hamming ball is enumerated outright, giving
 # exact uniform sampling without replacement.
@@ -156,8 +159,8 @@ def behavior_report(
     secret: SecretKey,
     spec: FilterSpec,
     wrong_keys,
-    grid_density: float = 160.0,
-    curve_points: int = 257,
+    grid_density: float = VERIFY_DENSITY,
+    curve_points: int = CURVE_POINTS,
 ) -> BehaviorReport:
     """Audit the correct key and every wrong key against the spec.
 

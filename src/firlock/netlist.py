@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from firlock.tmcm import ObfuscatedTMCM
+from firlock.tmcm import ObfuscatedTMCM, key_offsets
 
 __all__ = [
     "GateNetlist",
@@ -294,12 +294,9 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
     x_bits = b.add_input("x", tmcm.ibw)
 
     words = []
-    offset = 0
-    for i in range(tmcm.N):
-        w = tmcm.key_widths[i]
-        sel = k_bits[offset : offset + w]
-        offset += w
-        leaf_words = [_constant_bits(b, c, tmcm.cbw) for c in tmcm.mux_tables[i]]
+    for table, off, w in zip(tmcm.mux_tables, key_offsets(tmcm.key_widths), tmcm.key_widths):
+        sel = k_bits[off : off + w]
+        leaf_words = [_constant_bits(b, c, tmcm.cbw) for c in table]
         words.append(
             [_mux_tree(b, [lw[t] for lw in leaf_words], sel) for t in range(tmcm.cbw)]
         )

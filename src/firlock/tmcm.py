@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "SecretKey",
     "build_tmcm",
     "clog2",
+    "key_offsets",
     "reference_convolution",
     "simulate_filter",
     "tmcm_multiply",
@@ -38,6 +40,11 @@ __all__ = [
 def clog2(n: int) -> int:
     """Bits needed to address n items (0 for a single item)."""
     return (n - 1).bit_length()
+
+
+def key_offsets(widths) -> tuple:
+    """Bit offset of each key slice; slices are packed in order from bit 0."""
+    return tuple(accumulate(widths, initial=0))[:-1]
 
 
 @dataclass(frozen=True)
@@ -58,12 +65,7 @@ class SecretKey:
 
     @cached_property
     def offsets(self) -> tuple:
-        offs = []
-        acc = 0
-        for w in self.widths:
-            offs.append(acc)
-            acc += w
-        return tuple(offs)
+        return key_offsets(self.widths)
 
     def slice_value(self, i: int) -> int:
         return (self.bits >> self.offsets[i]) & ((1 << self.widths[i]) - 1)
@@ -99,19 +101,18 @@ class SecretKey:
 class ObfuscatedTMCM:
     """Multiplexer tables of constants plus the port geometry.
 
-    ``mux_tables[i]`` is a permutation of {coefficient i} and its
-    decoys; ``cbw`` is the two's-complement width every stored constant
-    fits in (one sign bit on top of the magnitude width), and ``ibw``
-    the width, at least 2 for the step probe's x = +1, of the variable
-    input.  The folded filter's output word, ``cbw + ibw + clog2(N)``
+    ``mux_tables[i]`` is a permutation of {coefficient i} and its decoys,
+    so the tables fix N and each key slice width (log2 of its table's
+    power-of-two size); ``cbw`` is the two's-complement width every stored
+    constant fits in (one sign bit on top of the magnitude width), and
+    ``ibw`` the width, at least 2 for the step probe's x = +1, of the
+    variable input.  The folded filter's output word, ``cbw + ibw + clog2(N)``
     bits, must fit the 63 bits that simulation and extraction compute in.
     """
 
-    N: int
     ibw: int
     cbw: int
     mux_tables: tuple
-    key_widths: tuple
     seed: int
 
     def __post_init__(self):
@@ -124,11 +125,20 @@ class ObfuscatedTMCM:
                 f"ibw may be at most {self.ibw - (width - 63)} here"
             )
         for i, table in enumerate(self.mux_tables):
-            if len(table) != (1 << self.key_widths[i]):
-                raise ValueError(f"table {i} size is not 2**width")
+            n = len(table)
+            if n < 1 or n & (n - 1):
+                raise ValueError(f"table {i} size {n} is not a power of two")
             for c in table:
                 if not -(1 << (self.cbw - 1)) <= c < (1 << (self.cbw - 1)):
                     raise ValueError(f"constant {c} does not fit in {self.cbw} signed bits")
+
+    @property
+    def N(self) -> int:
+        return len(self.mux_tables)
+
+    @cached_property
+    def key_widths(self) -> tuple:
+        return tuple(clog2(len(t)) for t in self.mux_tables)
 
     @property
     def p(self) -> int:
@@ -150,14 +160,17 @@ class ObfuscatedTMCM:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ObfuscatedTMCM":
-        return cls(
-            N=int(d["N"]),
+        tmcm = cls(
             ibw=int(d["ibw"]),
             cbw=int(d["cbw"]),
             mux_tables=tuple(tuple(int(c) for c in t) for t in d["mux_tables"]),
-            key_widths=tuple(int(w) for w in d["key_widths"]),
             seed=int(d["seed"]),
         )
+        if int(d["N"]) != tmcm.N:
+            raise ValueError(f"TMCM: N={d['N']} but it has {tmcm.N} tables")
+        if tuple(int(w) for w in d["key_widths"]) != tmcm.key_widths:
+            raise ValueError("TMCM: key_widths do not match the table sizes")
+        return tmcm
 
 
 def build_tmcm(
@@ -173,25 +186,15 @@ def build_tmcm(
         raise ValueError("decoy assignment does not match the filter length")
     rng = np.random.default_rng(seed)
     tables = []
-    key_bits = 0
-    widths = da.key_widths
-    offset = 0
+    positions = []
     for i in range(qf.N):
         entries = [int(qf.coeffs[i])] + [int(v) for v in da.D[i]]
         order = rng.permutation(len(entries))
         tables.append(tuple(int(entries[j]) for j in order))
-        position = int(np.where(order == 0)[0][0])
-        key_bits |= position << offset
-        offset += widths[i]
-    tmcm = ObfuscatedTMCM(
-        N=qf.N,
-        ibw=ibw,
-        cbw=qf.mbw + 1,
-        mux_tables=tuple(tables),
-        key_widths=widths,
-        seed=seed,
-    )
-    return tmcm, SecretKey(bits=key_bits, widths=widths)
+        positions.append(int(np.where(order == 0)[0][0]))
+    tmcm = ObfuscatedTMCM(ibw=ibw, cbw=qf.mbw + 1, mux_tables=tuple(tables), seed=seed)
+    key_bits = sum(pos << off for pos, off in zip(positions, key_offsets(tmcm.key_widths)))
+    return tmcm, SecretKey(bits=key_bits, widths=tmcm.key_widths)
 
 
 def _key_bits(key) -> int:
@@ -202,10 +205,7 @@ def tmcm_select(tmcm: ObfuscatedTMCM, i: int, key) -> int:
     """Constant chosen by key slice i; the word-level MUX semantics."""
     if not 0 <= i < tmcm.N:
         raise ValueError("primary select out of range")
-    bits = _key_bits(key)
-    offset = sum(tmcm.key_widths[:i])
-    v = (bits >> offset) & ((1 << tmcm.key_widths[i]) - 1)
-    return tmcm.mux_tables[i][v]
+    return tmcm.mux_tables[i][SecretKey(_key_bits(key), tmcm.key_widths).slice_value(i)]
 
 
 def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key, x: int) -> int:
@@ -229,8 +229,8 @@ def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
     transposed-form convolution.
     """
     N = tmcm.N
-    bits = _key_bits(key)
-    consts = np.array([tmcm_select(tmcm, i, bits) for i in range(N)], dtype=np.int64)
+    k = SecretKey(_key_bits(key), tmcm.key_widths)
+    consts = np.array([t[k.slice_value(i)] for i, t in enumerate(tmcm.mux_tables)], dtype=np.int64)
     half = 1 << (tmcm.ibw - 1)
     xs = np.asarray(inputs, dtype=np.int64)
     if len(xs) and (xs.max(initial=0) >= half or xs.min(initial=0) < -half):

@@ -42,14 +42,11 @@ def reference_spec(index: int) -> FilterSpec:
 
 def make_quantized(coeffs, lo, hi, Q=8):
     """Hand-built quantized filter for unit tests (no LP involved)."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    mbw = max(max(int(abs(v)).bit_length(), 1) for v in coeffs)
     return QuantizedFilter(
-        coeffs=coeffs,
+        coeffs=np.asarray(coeffs, dtype=np.int64),
         bounds_l=np.asarray(lo, dtype=np.int64),
         bounds_u=np.asarray(hi, dtype=np.int64),
         Q=Q,
-        mbw=mbw,
     )
 
 
@@ -69,9 +66,7 @@ def small_tmcms(draw, cbw_minus_ibw: int):
         tuple(draw(st.lists(constants, min_size=1 << w, max_size=1 << w, unique=True)))
         for w in widths
     )
-    return ObfuscatedTMCM(
-        N=len(widths), ibw=ibw, cbw=cbw, mux_tables=tables, key_widths=widths, seed=0
-    )
+    return ObfuscatedTMCM(ibw=ibw, cbw=cbw, mux_tables=tables, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -143,7 +143,7 @@ def tampered(top_keys, lsb_keys) -> GateNetlist:
     ``lsb_keys``, which leaves that constant's bit 0 inconsistent (x = 0
     must give 0).
     """
-    tmcm = ObfuscatedTMCM(N=1, ibw=4, cbw=4, mux_tables=((3, 5),), key_widths=(1,), seed=0)
+    tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5),), seed=0)
     nl = lower_to_gates(tmcm)
     (k0,) = nl.inputs["k"]
     gates, outputs = list(nl.gates), list(nl.outputs)

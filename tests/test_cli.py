@@ -321,7 +321,8 @@ def test_evaluate_nan_verify_density_exit_2(tmp_path, obfuscate_dir, capsys):
 
 def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsys):
     doc = json.loads((design_dir / "filter1.quant.json").read_text())
-    doc["coeffs"][0] = doc["bounds_u"][0] = 1 << 39
+    for i in (0, -1):
+        doc["coeffs"][i] = doc["bounds_u"][i] = 1 << 39
     doc["mbw"] = 40
     bad = tmp_path / "q.json"
     bad.write_text(json.dumps(doc), "utf-8")
@@ -348,6 +349,24 @@ def test_obfuscate_quant_contradicting_itself_exit_2(tmp_path, design_dir, capsy
     assert not (tmp_path / "netlist.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("coeffs", lambda d: d["coeffs"].__setitem__(0, d["bounds_u"][0])),
+        ("bounds_l", lambda d: d["bounds_l"].__setitem__(0, d["bounds_l"][0] - 1)),
+        ("bounds_u", lambda d: d["bounds_u"].__setitem__(0, d["bounds_u"][0] + 1)),
+    ],
+    ids=["coeffs", "bounds_l", "bounds_u"],
+)
+def test_obfuscate_asymmetric_quant_exit_2(tmp_path, design_dir, capsys, name, edit):
+    # Each edit keeps every coefficient inside its bounds; only the mirror symmetry breaks.
+    bad = _edited(design_dir / "filter1.quant.json", tmp_path / "q.json", edit)
+    rc = main(["obfuscate", "--quant", str(bad), "--p", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"quantized filter: {name} is not symmetric" in _one_line_error(capsys)
+    assert not (tmp_path / "netlist.json").exists()
+
+
 def test_evaluate_secret_spec_n_mismatch_exit_2(tmp_path, obfuscate_dir, capsys):
     bad = _edited(
         obfuscate_dir / "secret-assignment.json", tmp_path / "s.json",
@@ -368,6 +387,49 @@ def test_evaluate_secret_key_wider_than_p_exit_2(tmp_path, obfuscate_dir, capsys
     assert rc == 2
     assert "key_hex" in _one_line_error(capsys)
     assert not (tmp_path / "behavior.json").exists()
+
+
+def _set_n(d, n):
+    d["spec"]["N"] = d["tmcm"]["N"] = n
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _set_n(d, 27), "TMCM: N=27 but it has 29 tables"),
+        (lambda d: _set_n(d, 31), "TMCM: N=31 but it has 29 tables"),
+        (lambda d: d["tmcm"]["key_widths"].append(1), "key_widths do not match the table sizes"),
+    ],
+    ids=["N-27", "N-31", "key-widths-extra"],
+)
+def test_evaluate_secret_tmcm_contradicting_tables_exit_2(
+    tmp_path, obfuscate_dir, capsys, edit, message
+):
+    bad = _edited(obfuscate_dir / "secret-assignment.json", tmp_path / "s.json", edit)
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--grid-density", "1e12"],
+        ["evaluate", "--keys", "1", "--verify-density", "1e12"],
+    ],
+    ids=["design", "evaluate"],
+)
+def test_grid_too_large_for_memory_exit_2(tmp_path, spec_file, obfuscate_dir, capsys, argv):
+    # 1e12 points per tap is about 211 TiB per band, above the 128 TiB
+    # x86-64 user address space, so the allocation fails before touching
+    # any memory.
+    source = {"design": ["--spec", str(spec_file)],
+              "evaluate": ["--secret", str(obfuscate_dir / "secret-assignment.json")]}
+    rc = main(argv + source[argv[0]] + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "allocate" in _one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
 
 
 def test_evaluate_negative_keys_exit_2(tmp_path, obfuscate_dir, capsys):

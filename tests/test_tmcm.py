@@ -1,19 +1,25 @@
 """Word-level TMCM, secret key slicing, folded filter simulation."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.tmcm import (
+    ObfuscatedTMCM,
     SecretKey,
     build_tmcm,
+    key_offsets,
     reference_convolution,
     simulate_filter,
     tmcm_multiply,
     tmcm_select,
 )
 
-from conftest import make_quantized
+from conftest import make_quantized, small_tmcms
 
 
 @pytest.fixture()
@@ -70,6 +76,26 @@ def test_layout_sidecar_fields(small_build):
     assert [s["width"] for s in layout["slices"]] == list(key.widths)
     offs = [s["offset"] for s in layout["slices"]]
     assert offs == sorted(offs)
+
+
+def test_key_offsets_pack_slices_from_bit_0():
+    assert key_offsets((2, 1, 3)) == (0, 2, 3)
+    assert key_offsets(()) == ()
+
+
+@pytest.mark.parametrize("size", [0, 3])
+def test_table_size_must_be_a_power_of_two(size):
+    with pytest.raises(ValueError, match=f"table 1 size {size} is not a power of two"):
+        ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((1, 2), tuple(range(size))), seed=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_tmcm_json_round_trip(data):
+    tmcm = data.draw(small_tmcms(data.draw(st.integers(-1, 1))))
+    again = ObfuscatedTMCM.from_json_dict(json.loads(json.dumps(tmcm.to_json_dict())))
+    assert again == tmcm
+    assert (again.N, again.key_widths, again.p) == (tmcm.N, tmcm.key_widths, tmcm.p)
 
 
 # --- select / multiply --------------------------------------------------
