@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from firlock.hamming import hamming_distance, hub_element
-from firlock.netlist import GateNetlist, PackedEvaluator, const_mask, pack_bits, pack_value_bits
+from firlock.netlist import GateNetlist, PackedEvaluator, pack_bits, pack_value_bits
 
 __all__ = [
     "DsmVerdict",
@@ -77,13 +77,12 @@ def infer_key_slices(nl: GateNetlist) -> list:
     is not a per-coefficient selector.
     """
     meta = nl.meta
-    n, ibw, p = meta["N"], meta["ibw"], len(nl.inputs["k"])
+    n, p = meta["N"], len(nl.inputs["k"])
     width = (p + 1) * n
     block = (1 << n) - 1
     i_masks = pack_value_bits(np.arange(width, dtype=np.uint64) % np.uint64(n), len(nl.inputs["i"]))
     k_masks = [block << (n * (bit + 1)) for bit in range(p)]
-    x_masks = [const_mask(1, width)] + [0] * (ibw - 1)
-    out = PackedEvaluator(nl).run({"i": i_masks, "k": k_masks, "x": x_masks}, width)
+    out = PackedEvaluator(nl).run({"i": i_masks, "k": k_masks, "x": 1}, width)
     every_block = ((1 << width) - 1) // block  # bit 0 of each block set
     diff = 0
     for m in out:
@@ -152,14 +151,6 @@ class RecoveredConstantSets:
         }
 
 
-def _held_masks(nl: GateNetlist, i: int, k: int, width: int) -> dict:
-    """Lane masks of ports i and k, each held at one value on all ``width`` lanes."""
-    return {
-        port: [const_mask((value >> t) & 1, width) for t in range(len(nl.inputs[port]))]
-        for port, value in (("i", i), ("k", k))
-    }
-
-
 def _signed(v, width: int):
     """Two's-complement reading of ``width``-bit words (an int or an int64 array)."""
     return v - ((v >> (width - 1)) << width)
@@ -193,8 +184,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
         row = []
         for v in range(1 << len(bits_i)):
             k = _spread(v, bits_i)
-            masks = {**_held_masks(nl, i, k, width), "x": x_masks}
-            observed = ev.run(masks, width, out_bits=range(cbw))
+            observed = ev.run({"i": i, "k": k, "x": x_masks}, width, out_bits=range(cbw))
             partial = 0
             try:
                 for j in range(cbw):
@@ -228,8 +218,7 @@ def _spot_check(ev, i, bits_i, constants, rng, samples):
         k_masks = [0] * len(nl.inputs["k"])
         for pos, m in zip(bits_i, pack_value_bits(slice_values, len(bits_i))):
             k_masks[pos] = m
-        masks = {**_held_masks(nl, i, 0, width), "k": k_masks, "x": pack_value_bits(xs, ibw)}
-        observed = ev.run(masks, width)
+        observed = ev.run({"i": i, "k": k_masks, "x": pack_value_bits(xs, ibw)}, width)
         products = np.repeat(np.asarray(cs, dtype=np.int64), samples) * _signed(xs.astype(np.int64), ibw)
         diff = 0
         for o, e in zip(observed, pack_value_bits(products.astype(np.uint64), cbw + ibw)):

@@ -108,13 +108,6 @@ def _parse_secret(doc):
     return spec, tmcm, key
 
 
-def _parse_truth(coeffs, n: int) -> list:
-    """The true coefficients of a secret assignment, one per tap of an N-tap netlist."""
-    if len(coeffs) != n:
-        raise ValueError(f"ground truth has {len(coeffs)} coefficients but the netlist has N={n}")
-    return coeffs
-
-
 def _config_dict(args) -> dict:
     """The parsed options of the subcommand, the ``run_config`` of its artifacts."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
@@ -216,10 +209,11 @@ def cmd_attack(args) -> int:
     nl = _load(args.netlist, "netlist", _parse_netlist)
     truth = None
     if args.ground_truth:
-        truth = _load(
-            args.ground_truth, "secret assignment",
-            lambda d: _parse_truth(d["quantized"]["coeffs"], nl.meta["N"]),
-        )
+        _, tmcm, key = _load(args.ground_truth, "secret assignment", _parse_secret)
+        n = nl.meta["N"]
+        if tmcm.N != n:
+            raise ValueError(f"ground truth has {tmcm.N} coefficients but the netlist has N={n}")
+        truth = [tm.tmcm_select(tmcm, i, key) for i in range(n)]
     recovered, verdict, report = _attack(nl, args.seed_attack, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

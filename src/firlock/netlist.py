@@ -2,7 +2,10 @@
 
 Net ids: 0 and 1 are the constants, primary input bits follow, and gate
 j drives net ``first_gate_id + j``.  Gates only reference earlier nets,
-so the list is topologically ordered by construction.
+so the list is topologically ordered by construction.  A gate is the
+tuple ``(op, *operands)``; its JSON record is ``{"op": name}`` plus its
+operand nets, in tuple order, under the fields ``a`` (every op), ``b``
+(every op but NOT) and ``s`` (MUX2, whose output is b when s else a).
 
 The evaluator packs many test vectors into one arbitrary-width Python
 integer per net (one bit per vector), so a single run evaluates
@@ -30,6 +33,8 @@ __all__ = [
 OP_AND, OP_OR, OP_XOR, OP_NOT, OP_MUX2 = range(5)
 OP_NAMES = ("AND", "OR", "XOR", "NOT", "MUX2")
 _OP_CODES = {name: code for code, name in enumerate(OP_NAMES)}
+# Operand fields of each op's JSON record, in gate-tuple order.
+_OPERANDS = ("ab", "ab", "ab", "a", "abs")
 
 CONST0, CONST1 = 0, 1
 
@@ -61,10 +66,9 @@ class GateNetlist:
         return self.first_gate_id + len(self.gates)
 
     def validate(self) -> None:
-        """Check topological order and reference sanity."""
+        """Check port ids (2 .. first_gate_id - 1, each once), topological order and references."""
         first = self.first_gate_id
-        input_ids = {i for ids in self.inputs.values() for i in ids}
-        if input_ids and (min(input_ids) < 2 or max(input_ids) >= first):
+        if sorted(i for ids in self.inputs.values() for i in ids) != list(range(2, first)):
             raise ValueError("input net ids out of range")
         for j, gate in enumerate(self.gates):
             for operand in gate[1:]:
@@ -75,19 +79,13 @@ class GateNetlist:
                 raise ValueError(f"output references unknown net {out}")
 
     def to_json_dict(self) -> dict:
-        def gate_dict(g):
-            d = {"op": OP_NAMES[g[0]], "a": g[1]}
-            if g[0] in (OP_AND, OP_OR, OP_XOR, OP_MUX2):
-                d["b"] = g[2]
-            if g[0] == OP_MUX2:
-                d["s"] = g[3]
-            return d
-
         return {
             "n_nets": self.n_nets,
             "inputs": {k: list(v) for k, v in self.inputs.items()},
             "outputs": list(self.outputs),
-            "gates": [gate_dict(g) for g in self.gates],
+            "gates": [
+                {"op": OP_NAMES[g[0]], **dict(zip(_OPERANDS[g[0]], g[1:]))} for g in self.gates
+            ],
             "meta": dict(self.meta),
         }
 
@@ -98,12 +96,7 @@ class GateNetlist:
             code = _OP_CODES.get(g["op"])
             if code is None:
                 raise ValueError(f"unknown gate op {g['op']!r}")
-            if code == OP_MUX2:
-                gates.append((code, g["a"], g["b"], g["s"]))
-            elif code == OP_NOT:
-                gates.append((code, g["a"]))
-            else:
-                gates.append((code, g["a"], g["b"]))
+            gates.append((code, *[g[f] for f in _OPERANDS[code]]))
         nl = cls(
             inputs={k: list(v) for k, v in d["inputs"].items()},
             outputs=list(d["outputs"]),
@@ -332,8 +325,9 @@ def const_mask(bit: int, width: int) -> int:
 class PackedEvaluator:
     """Bit-parallel netlist evaluation, pruned by the inputs it is given.
 
-    ``run`` takes per-input-bit lane masks and returns lane masks for
-    the requested output bits.  It works back from those bits and
+    ``run`` takes per-input-bit lane masks, or an int for a port held
+    at one value on every lane, and returns lane masks for the
+    requested output bits.  It works back from those bits and
     evaluates a gate only when the result needs it: a MUX2 whose select
     is all-0 or all-1 evaluates only the branch it picks, and an AND
     with an all-0 operand (an OR with an all-1 one) evaluates nothing
@@ -347,7 +341,9 @@ class PackedEvaluator:
         self._first = nl.first_gate_id
 
     def run(self, input_masks: dict, width: int, out_bits=None):
-        """Evaluate; ``input_masks`` maps port name to per-bit masks.
+        """Evaluate ``width`` lanes; ``input_masks`` maps port name to
+        its per-bit masks (LSB first) or to an int, that value held on
+        every lane.
 
         Returns the lane masks of ``out_bits`` (default: all output
         bits) in the requested order.
@@ -360,7 +356,9 @@ class PackedEvaluator:
         values[CONST1] = mask
         for name, ids in nl.inputs.items():
             masks = input_masks[name]
-            if len(masks) != len(ids):
+            if isinstance(masks, int):
+                masks = [const_mask((masks >> t) & 1, width) for t in range(len(ids))]
+            elif len(masks) != len(ids):
                 raise ValueError(f"port {name} expects {len(ids)} bit masks")
             for nid, m in zip(ids, masks):
                 values[nid] = m

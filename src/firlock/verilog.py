@@ -7,22 +7,12 @@ ternary ``assign`` statements for MUX2, with ports in the fixed order
 
 from __future__ import annotations
 
-from firlock.netlist import (
-    CONST0,
-    CONST1,
-    GateNetlist,
-    OP_AND,
-    OP_MUX2,
-    OP_NOT,
-    OP_OR,
-    OP_XOR,
-)
+from firlock.netlist import CONST0, CONST1, OP_MUX2, OP_NAMES, GateNetlist
 
 __all__ = ["emit_verilog"]
 
 _MODULE_NAME = "tmcm_block"
 _PORT_ORDER = ("i", "k", "x")
-_GATE_KEYWORDS = {OP_AND: "and", OP_OR: "or", OP_XOR: "xor", OP_NOT: "not"}
 
 
 def _wrap(names, indent="  wire ", per_line=12):
@@ -70,15 +60,12 @@ def emit_verilog(nl: GateNetlist, header: str = "") -> str:
             lines.append(f"  assign n{nid} = {port}[{b}];")
     first = nl.first_gate_id
     for j, gate in enumerate(nl.gates):
-        out = f"n{first + j}"
         if gate[0] == OP_MUX2:
             _, a, b, s = gate
-            lines.append(f"  assign {out} = n{s} ? n{b} : n{a};")
-        elif gate[0] == OP_NOT:
-            lines.append(f"  not g{j} ({out}, n{gate[1]});")
+            lines.append(f"  assign n{first + j} = n{s} ? n{b} : n{a};")
         else:
-            kw = _GATE_KEYWORDS[gate[0]]
-            lines.append(f"  {kw} g{j} ({out}, n{gate[1]}, n{gate[2]});")
+            operands = ", n".join(map(str, gate[1:]))
+            lines.append(f"  {OP_NAMES[gate[0]].lower()} g{j} (n{first + j}, n{operands});")
     for b, nid in enumerate(nl.outputs):
         lines.append(f"  assign y[{b}] = n{nid};")
     lines.append("endmodule")

@@ -473,9 +473,11 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
         (lambda d: d["gates"][5].update(a=d["n_nets"] - 1), "gate 5 references net"),
         (lambda d: d["outputs"].__setitem__(0, d["n_nets"]), "output references unknown net"),
         (lambda d: d.update(n_nets=d["n_nets"] + 1), "net count mismatch"),
+        (lambda d: d["inputs"]["x"].__setitem__(1, d["inputs"]["x"][0]), "input net ids out of range"),
+        (lambda d: d["inputs"]["k"].__setitem__(0, d["inputs"]["i"][0]), "input net ids out of range"),
     ],
     ids=["input-const", "input-past-gates", "operand-negative", "operand-later", "output-unknown",
-         "n-nets"],
+         "n-nets", "x-repeats-x", "k-repeats-i"],
 )
 def test_attack_malformed_netlist_structure_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
@@ -523,9 +525,9 @@ def other_filter_secret(tmp_path_factory, designed):
         (
             lambda obf, tmp, other: _edited(
                 obf / "secret-assignment.json", tmp / "s.json",
-                lambda d: d["quantized"].update(coeffs=d["quantized"]["coeffs"][:5]),
+                lambda d: d["tmcm"].update(mux_tables=d["tmcm"]["mux_tables"][:5]),
             ),
-            "ground truth has 5 coefficients but the netlist has N=29",
+            "TMCM: N=29 but it has 5 tables",
         ),
     ],
     ids=["other-filter", "truncated"],

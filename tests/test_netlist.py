@@ -113,16 +113,19 @@ def test_pruned_run_matches_linear_evaluation(cbw_minus_ibw, data):
     nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
     width = data.draw(st.integers(1, 80))
     mask = (1 << width) - 1
-    masks = {}
+    masks, held = {}, {}
     for port, ids in nl.inputs.items():
-        held = port != "x" and data.draw(st.booleans(), label=f"hold {port}")
-        lane = st.sampled_from([0, mask]) if held else st.integers(0, mask)
+        is_held = port != "x" and data.draw(st.booleans(), label=f"hold {port}")
+        lane = st.sampled_from([0, mask]) if is_held else st.integers(0, mask)
         masks[port] = data.draw(st.lists(lane, min_size=len(ids), max_size=len(ids)), label=port)
+        if is_held:  # also passed to `run` as the int it holds
+            held[port] = sum(1 << t for t, m in enumerate(masks[port]) if m)
     expected = linear_run(nl, masks, width)
-    assert PackedEvaluator(nl).run(masks, width) == expected
     order = data.draw(st.permutations(range(len(nl.outputs))), label="out_bits")
     subset = order[: data.draw(st.integers(1, len(order)))]
-    assert PackedEvaluator(nl).run(masks, width, out_bits=subset) == [expected[t] for t in subset]
+    for ports in (masks, {**masks, **held}):
+        assert PackedEvaluator(nl).run(ports, width) == expected
+        assert PackedEvaluator(nl).run(ports, width, out_bits=subset) == [expected[t] for t in subset]
 
 
 @st.composite
@@ -153,6 +156,7 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
     n_in = len(nl.inputs["a"])
     masks = {"a": data.draw(st.lists(lane, min_size=n_in, max_size=n_in))}
     assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
+    assert GateNetlist.from_json_dict(nl.to_json_dict()).gates == nl.gates
 
 
 def test_zero_input_gives_zero_product():
