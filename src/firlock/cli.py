@@ -81,7 +81,7 @@ def _parse_netlist(doc):
         raise KeyError(", ".join(sorted(missing)))
     meta = nl.meta
     for name in ("N", "cbw", "ibw"):
-        if not isinstance(meta[name], int) or meta[name] < 1:
+        if type(meta[name]) is not int or meta[name] < 1:
             raise ValueError(f"netlist meta {name} must be an integer >= 1, got {meta[name]!r}")
     k_bits = len(nl.inputs["k"])
     widths = {

@@ -14,11 +14,12 @@ thousands of input combinations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from firlock.tmcm import ObfuscatedTMCM, key_offsets
+from firlock.tmcm import ObfuscatedTMCM, key_offsets, strict_int
 
 __all__ = [
     "GateNetlist",
@@ -66,16 +67,24 @@ class GateNetlist:
         return self.first_gate_id + len(self.gates)
 
     def validate(self) -> None:
-        """Check port ids (2 .. first_gate_id - 1, each once), topological order and references."""
+        """Check net ids are ints, port ids (2 .. first_gate_id - 1, each once), order and references."""
         first = self.first_gate_id
-        if sorted(i for ids in self.inputs.values() for i in ids) != list(range(2, first)):
+        ids = []
+        for name, port in self.inputs.items():
+            ids += (strict_int(i, f"input {name} net id") for i in port)
+        if not all(2 <= i < first for i in ids):
             raise ValueError("input net ids out of range")
+        repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+        if repeated:
+            raise ValueError(f"input ports repeat net ids {repeated}")
         for j, gate in enumerate(self.gates):
             for operand in gate[1:]:
+                if type(operand) is not int:  # the field name is built only on failure
+                    strict_int(operand, f"gate {j} operand")
                 if not 0 <= operand < first + j:
                     raise ValueError(f"gate {j} references net {operand} not yet defined")
         for out in self.outputs:
-            if not 0 <= out < self.n_nets:
+            if not 0 <= strict_int(out, "output net id") < self.n_nets:
                 raise ValueError(f"output references unknown net {out}")
 
     def to_json_dict(self) -> dict:

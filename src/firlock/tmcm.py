@@ -32,9 +32,21 @@ __all__ = [
     "key_offsets",
     "reference_convolution",
     "simulate_filter",
+    "strict_int",
     "tmcm_multiply",
     "tmcm_select",
 ]
+
+
+def strict_int(value, field: str) -> int:
+    """``value`` if it is an int and not a bool, else a ValueError naming ``field``.
+
+    JSON readers use it instead of ``int(...)``, which would silently
+    truncate ``1.5`` and read ``true`` as 1.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def clog2(n: int) -> int:
@@ -116,6 +128,8 @@ class ObfuscatedTMCM:
     seed: int
 
     def __post_init__(self):
+        if self.cbw < 1:
+            raise ValueError(f"constant bit-width cbw must be at least 1, got {self.cbw}")
         if self.ibw < 2:
             raise ValueError(f"input bit-width ibw must be at least 2, got {self.ibw}")
         width = self.cbw + self.ibw + clog2(self.N)
@@ -161,14 +175,18 @@ class ObfuscatedTMCM:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ObfuscatedTMCM":
         tmcm = cls(
-            ibw=int(d["ibw"]),
-            cbw=int(d["cbw"]),
-            mux_tables=tuple(tuple(int(c) for c in t) for t in d["mux_tables"]),
-            seed=int(d["seed"]),
+            ibw=strict_int(d["ibw"], "TMCM ibw"),
+            cbw=strict_int(d["cbw"], "TMCM cbw"),
+            mux_tables=tuple(
+                tuple(strict_int(c, f"TMCM mux_tables[{i}] entry") for c in t)
+                for i, t in enumerate(d["mux_tables"])
+            ),
+            seed=strict_int(d["seed"], "TMCM seed"),
         )
-        if int(d["N"]) != tmcm.N:
+        if strict_int(d["N"], "TMCM N") != tmcm.N:
             raise ValueError(f"TMCM: N={d['N']} but it has {tmcm.N} tables")
-        if tuple(int(w) for w in d["key_widths"]) != tmcm.key_widths:
+        widths = tuple(strict_int(w, "TMCM key_widths entry") for w in d["key_widths"])
+        if widths != tmcm.key_widths:
             raise ValueError("TMCM: key_widths do not match the table sizes")
         return tmcm
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -65,13 +66,15 @@ def test_design_grid_density_flag(tmp_path, spec_file):
     assert cfg["grid_density"] == 32.0
 
 
-def test_design_infeasible_exit_1(tmp_path):
+def test_design_infeasible_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "index": 9, "type": "low-pass", "N": 3, "wp": 0.3, "ws": 0.5,
         "dp": 0.003, "ds": 0.003, "Q": 8,
     }), "utf-8")
     assert main(["design", "--spec", str(bad), "--out", str(tmp_path)]) == 1
+    assert "no length-3 low-pass filter" in _one_line_error(capsys)
+    assert multiprocessing.active_children() == []
 
 
 def test_obfuscate_outputs(obfuscate_dir):
@@ -393,6 +396,36 @@ def _set_n(d, n):
     d["spec"]["N"] = d["tmcm"]["N"] = n
 
 
+def _set_entry(d, value):
+    d["tmcm"]["mux_tables"][0][0] = value
+
+
+# Each edit writes a TMCM integer field as another type, or cbw/ibw below its minimum.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _set_entry(d, 1.5), "TMCM mux_tables[0] entry must be an integer, got 1.5"),
+        (lambda d: _set_entry(d, True), "TMCM mux_tables[0] entry must be an integer, got True"),
+        (lambda d: d["tmcm"].update(ibw=32.0), "TMCM ibw must be an integer, got 32.0"),
+        (lambda d: d["tmcm"].update(cbw=True), "TMCM cbw must be an integer, got True"),
+        (lambda d: d["tmcm"].update(seed="1"), "TMCM seed must be an integer, got '1'"),
+        (lambda d: d["tmcm"].update(N=29.0), "TMCM N must be an integer, got 29.0"),
+        (lambda d: d["tmcm"]["key_widths"].__setitem__(0, 1.0),
+         "TMCM key_widths entry must be an integer, got 1.0"),
+        (lambda d: d["tmcm"].update(cbw=0), "cbw must be at least 1, got 0"),
+        (lambda d: d["tmcm"].update(ibw=0), "ibw must be at least 2, got 0"),
+    ],
+    ids=["entry-float", "entry-bool", "ibw-float", "cbw-bool", "seed-str", "N-float",
+         "key-width-float", "cbw-0", "ibw-0"],
+)
+def test_evaluate_secret_tmcm_not_integer_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
+    bad = _edited(obfuscate_dir / "secret-assignment.json", tmp_path / "s.json", edit)
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -473,11 +506,23 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
         (lambda d: d["gates"][5].update(a=d["n_nets"] - 1), "gate 5 references net"),
         (lambda d: d["outputs"].__setitem__(0, d["n_nets"]), "output references unknown net"),
         (lambda d: d.update(n_nets=d["n_nets"] + 1), "net count mismatch"),
-        (lambda d: d["inputs"]["x"].__setitem__(1, d["inputs"]["x"][0]), "input net ids out of range"),
-        (lambda d: d["inputs"]["k"].__setitem__(0, d["inputs"]["i"][0]), "input net ids out of range"),
+        (lambda d: d["inputs"]["x"].__setitem__(1, d["inputs"]["x"][0]),
+         "input ports repeat net ids [39]"),
+        (lambda d: d["inputs"]["k"].__setitem__(0, d["inputs"]["i"][0]),
+         "input ports repeat net ids [2]"),
+        (lambda d: d["gates"][0].update(a=float(d["gates"][0]["a"])),
+         "gate 0 operand must be an integer, got "),
+        (lambda d: d["gates"][0].update(a=True), "gate 0 operand must be an integer, got True"),
+        (lambda d: d["inputs"]["x"].__setitem__(0, 7.0), "input x net id must be an integer, got 7.0"),
+        (lambda d: d["inputs"]["i"].__setitem__(0, True),
+         "input i net id must be an integer, got True"),
+        (lambda d: d["outputs"].__setitem__(0, float(d["outputs"][0])),
+         "output net id must be an integer, got "),
+        (lambda d: d["outputs"].__setitem__(0, False), "output net id must be an integer, got False"),
     ],
     ids=["input-const", "input-past-gates", "operand-negative", "operand-later", "output-unknown",
-         "n-nets", "x-repeats-x", "k-repeats-i"],
+         "n-nets", "x-repeats-x", "k-repeats-i", "operand-float", "operand-bool", "input-float",
+         "input-bool", "output-float", "output-bool"],
 )
 def test_attack_malformed_netlist_structure_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)

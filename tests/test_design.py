@@ -1,14 +1,18 @@
 """Filter design: grids, ZPFR, LP design, bounds, quantization, verification."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from oracles import lattice_infeasibility, simplex_solve
 
+from firlock import design
 from firlock.design import (
     FilterSpec,
     InfeasibleSpec,
     RealCoefficients,
     _band_rows,
+    _solve_lp,
     build_frequency_grid,
     coefficient_bounds,
     design_coefficients,
@@ -166,6 +170,7 @@ def test_bounds_widen_toward_box_as_ripples_relax():
         assert np.all(bounds.lower >= -1.0) and np.all(bounds.upper <= 1.0)
         widths.append(np.sum(bounds.upper - bounds.lower))
     assert widths[0] < widths[1] < widths[2]
+    assert multiprocessing.active_children() == []
 
 
 def test_bounds_match_independent_simplex_oracle():
@@ -191,6 +196,40 @@ def test_bounds_match_independent_simplex_oracle():
     assert bounds.lower[1] == pytest.approx(-0.00419477, abs=1e-6)
     assert bounds.upper[0] == pytest.approx(-0.00061070, abs=1e-6)
     assert bounds.upper[1] == pytest.approx(-0.00044358, abs=1e-6)
+
+
+def test_bounds_equal_one_by_one_solves_bit_for_bit(designed):
+    """The pool returns exactly the optima of the LPs solved one at a time here."""
+    d = designed(1)
+    A, b = _band_rows(d.spec, d.grid)
+    n = d.spec.M + 1
+    lower, upper = np.empty(n), np.empty(n)
+    for i in range(n):
+        c = np.zeros(n)
+        c[i] = 1.0
+        lower[i] = _solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+        c[i] = -1.0
+        upper[i] = -_solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+    assert d.bounds.lower.tobytes() == lower.tobytes()
+    assert d.bounds.upper.tobytes() == upper.tobytes()
+
+
+def test_bounds_infeasible_spec_raises_in_parent_and_leaves_no_process():
+    spec = lowpass(N=3, wp=0.3, ws=0.5, dp=0.003, ds=0.003)
+    with pytest.raises(InfeasibleSpec) as info:
+        coefficient_bounds(spec, build_frequency_grid(spec))
+    assert str(info.value) == "bound LP infeasible; design the filter first"
+    assert multiprocessing.active_children() == []
+
+
+def test_bounds_solver_failure_raises_in_parent_and_leaves_no_process(monkeypatch):
+    # The workers are forked after the patch, so they inherit it.
+    failed = type("Result", (), {"status": 4, "message": "numerical difficulties"})
+    monkeypatch.setattr(design, "linprog", lambda *args, **kwargs: failed)
+    spec = lowpass(N=7, wp=0.3, ws=0.7, dp=0.1, ds=0.1)
+    with pytest.raises(RuntimeError, match="status 4: numerical difficulties"):
+        coefficient_bounds(spec, build_frequency_grid(spec))
+    assert multiprocessing.active_children() == []
 
 
 def test_bound_optimality_via_added_constraint(designed):
