@@ -171,7 +171,8 @@ def cmd_obfuscate(args) -> int:
     da, tmcm, key, nl = _obfuscate(qf, args.dsm, args.p, args.ibw, args.seed_obfuscate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "netlist.json", {**nl.to_json_dict(), "run_config": config})
+    text = nl.to_json_text({"run_config": config})
+    (out / "netlist.json").write_text(text + "\n", encoding="utf-8")
     header = json.dumps(config, sort_keys=True)
     (out / "design.v").write_text(vg.emit_verilog(nl, header=f"config: {header}"), "utf-8")
     (out / "key.hex").write_text(key.to_hex() + "\n", "utf-8")

@@ -41,6 +41,7 @@ __all__ = [
     "quantize",
     "quantization_deviation_bound",
     "response_matrix",
+    "strict_int",
     "verify_response",
     "verify_spec",
 ]
@@ -76,6 +77,17 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def strict_int(value, field: str) -> int:
+    """``value`` if it is an int and not a bool, else a ValueError naming ``field``.
+
+    JSON readers use it instead of ``int(...)``, which would silently
+    truncate ``1.5`` and read ``true`` as 1.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def magnitude_bitwidth(value: int) -> int:
     """Bit count of ``|value|``; zero is defined to need one bit."""
     return max(int(abs(value)).bit_length(), 1)
@@ -103,9 +115,7 @@ class FilterSpec:
 
     def __post_init__(self):
         for name in ("index", "N", "Q"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"spec field {name} must be an integer, got {value!r}")
+            strict_int(getattr(self, name), f"spec field {name}")
         if self.band_type not in BAND_TYPES:
             raise ValueError(f"band_type must be one of {BAND_TYPES}")
         if self.N < 1 or self.N % 2 == 0:
@@ -378,13 +388,13 @@ class QuantizedFilter:
             coeffs=np.asarray(d["coeffs"], dtype=np.int64),
             bounds_l=np.asarray(d["bounds_l"], dtype=np.int64),
             bounds_u=np.asarray(d["bounds_u"], dtype=np.int64),
-            Q=int(d["Q"]),
+            Q=strict_int(d["Q"], "quantized filter Q"),
         )
-        if int(d["mbw"]) != qf.mbw:
+        if strict_int(d["mbw"], "quantized filter mbw") != qf.mbw:
             raise ValueError(
                 f"quantized filter: mbw={d['mbw']} but the widest coefficient has {qf.mbw} bits"
             )
-        if qf.N != int(d["N"]):
+        if qf.N != strict_int(d["N"], "quantized filter N"):
             raise ValueError("coefficient count does not match N")
         return qf
 

@@ -215,8 +215,11 @@ def behavior_report(
 
 def emit_curves(report: BehaviorReport) -> str:
     """CSV of the per-key zero-phase curves; key id 0 is the correct key."""
-    lines = ["key_id,w_over_pi,gain"]
-    w_over_pi = [f"{w:.10g}" for w in (report.curve_w / np.pi).tolist()]
-    for key_id, entry in enumerate(report.entries):
-        lines += [f"{key_id},{w},{g:.10g}" for w, g in zip(w_over_pi, entry.curve.tolist())]
-    return "\n".join(lines) + "\n"
+    # One template per report, a "\n<w>,%.10g" row per frequency; each
+    # key puts its id after every newline and fills in its gains.
+    rows = "".join(f"\n{w:.10g},%.10g" for w in (report.curve_w / np.pi).tolist())
+    blocks = [
+        rows.replace("\n", f"\n{key_id},") % tuple(entry.curve.tolist())
+        for key_id, entry in enumerate(report.entries)
+    ]
+    return "key_id,w_over_pi,gain" + "".join(blocks) + "\n"

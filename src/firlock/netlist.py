@@ -6,6 +6,8 @@ so the list is topologically ordered by construction.  A gate is the
 tuple ``(op, *operands)``; its JSON record is ``{"op": name}`` plus its
 operand nets, in tuple order, under the fields ``a`` (every op), ``b``
 (every op but NOT) and ``s`` (MUX2, whose output is b when s else a).
+Tuple order is also the fields' sorted order, which the text writer
+(`GateNetlist.to_json_text`) relies on.
 
 The evaluator packs many test vectors into one arbitrary-width Python
 integer per net (one bit per vector), so a single run evaluates
@@ -14,12 +16,14 @@ thousands of input combinations.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from firlock.tmcm import ObfuscatedTMCM, key_offsets, strict_int
+from firlock.design import strict_int
+from firlock.tmcm import ObfuscatedTMCM, key_offsets
 
 __all__ = [
     "GateNetlist",
@@ -36,6 +40,18 @@ OP_NAMES = ("AND", "OR", "XOR", "NOT", "MUX2")
 _OP_CODES = {name: code for code, name in enumerate(OP_NAMES)}
 # Operand fields of each op's JSON record, in gate-tuple order.
 _OPERANDS = ("ab", "ab", "ab", "a", "abs")
+
+
+def _record_template(code: int) -> str:
+    """``json.dumps(record, indent=2, sort_keys=True)`` of one gate as a
+    list element of a top-level field, operands left as ``%d``."""
+    fields = {f: "%d" for f in _OPERANDS[code]}
+    fields["op"] = json.dumps(OP_NAMES[code])
+    body = ",\n".join(f'      "{f}": {fields[f]}' for f in sorted(fields))
+    return f"    {{\n{body}\n    }}"
+
+
+_RECORD_TEMPLATES = tuple(map(_record_template, range(len(OP_NAMES))))
 
 CONST0, CONST1 = 0, 1
 
@@ -87,16 +103,37 @@ class GateNetlist:
             if not 0 <= strict_int(out, "output net id") < self.n_nets:
                 raise ValueError(f"output references unknown net {out}")
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """Every top-level field of the JSON record but ``gates``."""
         return {
             "n_nets": self.n_nets,
             "inputs": {k: list(v) for k, v in self.inputs.items()},
             "outputs": list(self.outputs),
-            "gates": [
-                {"op": OP_NAMES[g[0]], **dict(zip(_OPERANDS[g[0]], g[1:]))} for g in self.gates
-            ],
             "meta": dict(self.meta),
         }
+
+    def to_json_dict(self) -> dict:
+        gates = [{"op": OP_NAMES[g[0]], **dict(zip(_OPERANDS[g[0]], g[1:]))} for g in self.gates]
+        return {**self._json_fields(), "gates": gates}
+
+    def to_json_text(self, extra: dict) -> str:
+        """``json.dumps({**self.to_json_dict(), **extra}, indent=2, sort_keys=True)``.
+
+        Gate records are filled into one template per op instead of
+        passing through a dict each and the pure-Python indenting
+        encoder.  ``extra`` adds top-level fields other than ``gates``.
+        """
+        texts = {
+            k: json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
+            for k, v in {**self._json_fields(), **extra}.items()
+        }
+        if self.gates:
+            records = ",\n".join([_RECORD_TEMPLATES[g[0]] % g[1:] for g in self.gates])
+            texts["gates"] = f"[\n{records}\n  ]"
+        else:
+            texts["gates"] = "[]"
+        body = ",\n".join(f"  {json.dumps(k)}: {texts[k]}" for k in sorted(texts))
+        return f"{{\n{body}\n}}"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateNetlist":
@@ -238,13 +275,22 @@ def _constant_bits(b: NetlistBuilder, value: int, width: int) -> list:
     return [b.const((v >> t) & 1) for t in range(width)]
 
 
-def _mux_tree(b: NetlistBuilder, entries: list, sel: list) -> int:
-    """Binary select tree, LSB select bit switching adjacent entries."""
+def _mux_tree(b: NetlistBuilder, entries: tuple, sel: tuple, memo: dict) -> int:
+    """Binary select tree, LSB select bit switching adjacent entries.
+
+    ``memo`` maps (entries, sel) to the tree's output net.  The builder
+    hash-conses every gate, so a repeated subtree would emit nothing new
+    and return the same net; the memo only skips the walk.
+    """
     if not sel:
         return entries[0]
-    lo = _mux_tree(b, entries[0::2], sel[1:])
-    hi = _mux_tree(b, entries[1::2], sel[1:])
-    return b.mux(lo, hi, sel[0])
+    key = (entries, sel)
+    nid = memo.get(key)
+    if nid is None:
+        lo = _mux_tree(b, entries[0::2], sel[1:], memo)
+        hi = _mux_tree(b, entries[1::2], sel[1:], memo)
+        nid = memo[key] = b.mux(lo, hi, sel[0])
+    return nid
 
 
 def _signed_multiplier(b: NetlistBuilder, a_bits: list, x_bits: list, width: int) -> list:
@@ -295,17 +341,21 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
     k_bits = b.add_input("k", tmcm.p)
     x_bits = b.add_input("x", tmcm.ibw)
 
+    memo = {}
     words = []
     for table, off, w in zip(tmcm.mux_tables, key_offsets(tmcm.key_widths), tmcm.key_widths):
-        sel = k_bits[off : off + w]
+        sel = tuple(k_bits[off : off + w])
         leaf_words = [_constant_bits(b, c, tmcm.cbw) for c in table]
         words.append(
-            [_mux_tree(b, [lw[t] for lw in leaf_words], sel) for t in range(tmcm.cbw)]
+            [_mux_tree(b, tuple(lw[t] for lw in leaf_words), sel, memo) for t in range(tmcm.cbw)]
         )
 
     zero_word = [CONST0] * tmcm.cbw
     padded = words + [zero_word] * ((1 << tmcm.select_width) - tmcm.N)
-    selected = [_mux_tree(b, [wd[t] for wd in padded], i_bits) for t in range(tmcm.cbw)]
+    i_sel = tuple(i_bits)
+    selected = [
+        _mux_tree(b, tuple(wd[t] for wd in padded), i_sel, memo) for t in range(tmcm.cbw)
+    ]
 
     product = _signed_multiplier(b, selected, x_bits, tmcm.cbw + tmcm.ibw)
     return b.build(

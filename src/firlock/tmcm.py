@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from firlock.decoys import DecoyAssignment
-from firlock.design import QuantizedFilter
+from firlock.design import QuantizedFilter, strict_int
 
 __all__ = [
     "ObfuscatedTMCM",
@@ -32,21 +32,9 @@ __all__ = [
     "key_offsets",
     "reference_convolution",
     "simulate_filter",
-    "strict_int",
     "tmcm_multiply",
     "tmcm_select",
 ]
-
-
-def strict_int(value, field: str) -> int:
-    """``value`` if it is an int and not a bool, else a ValueError naming ``field``.
-
-    JSON readers use it instead of ``int(...)``, which would silently
-    truncate ``1.5`` and read ``true`` as 1.
-    """
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 def clog2(n: int) -> int:

@@ -341,8 +341,14 @@ def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsy
         (lambda d: d["bounds_l"].__setitem__(0, "12"), "bounds_l must hold integers, got '12'"),
         (lambda d: d.update(mbw=d["mbw"] + 1), "mbw=14 but the widest coefficient has 13 bits"),
         (lambda d: d.update(Q=13), "spec has Q=14 but the filter has Q=13"),
+        (lambda d: d.update(mbw=13.5), "quantized filter mbw must be an integer, got 13.5"),
+        (lambda d: d.update(mbw=13.0), "quantized filter mbw must be an integer, got 13.0"),
+        (lambda d: d.update(N=29.5), "quantized filter N must be an integer, got 29.5"),
+        (lambda d: d.update(Q=14.9), "quantized filter Q must be an integer, got 14.9"),
+        (lambda d: d.update(Q=True), "quantized filter Q must be an integer, got True"),
     ],
-    ids=["coeff-float", "bound-str", "mbw-wider", "Q-13"],
+    ids=["coeff-float", "bound-str", "mbw-wider", "Q-13",
+         "mbw-float", "mbw-whole-float", "N-float", "Q-float", "Q-bool"],
 )
 def test_obfuscate_quant_contradicting_itself_exit_2(tmp_path, design_dir, capsys, edit, message):
     bad = _edited(design_dir / "filter1.quant.json", tmp_path / "q.json", edit)
@@ -618,9 +624,10 @@ def test_bench_filter_1(tmp_path, monkeypatch, capsys):
     ]
 
 
-# sha256 of the integer artifacts of filter 1, p = 32, hdrd.  The files
-# holding LP or BLAS floats (*.float.json, *.verify.json, behavior.json,
-# curves.csv) are left to the rerun tests.
+# sha256 of the integer artifacts of filter 1, p = 32, hdrd, and of the
+# lowered design at p = 247, rd, where most MUX subtrees repeat.  The
+# files holding LP or BLAS floats (*.float.json, *.verify.json,
+# behavior.json, curves.csv) are left to the rerun tests.
 PINNED_ARTIFACTS = {
     "d/filter1.quant.json": "95532135afad0f8ca9be850f622c587c0a035cc786d452ebaf6498b7bea11437",
     "o/netlist.json": "f7c3d60c9424e23f9eebcf914722a0fa7b996e34f0a1d96e2734c09718b7d26c",
@@ -630,6 +637,8 @@ PINNED_ARTIFACTS = {
     "o/secret-assignment.json": "8e0f36b6b9a90e4fef1fc5dba99f125bfdf9d0bdf06844f5f8558f9a1cd85bae",
     "a/recovered.json": "01256c2cce9ceb5e669b737e5650ef62bcb0550fe57017b398835ad82203db42",
     "a/report.json": "12c9189b71750eb23e0546e278418bc292ea4ec736a626d42ccb3e34de23b8d6",
+    "o247/netlist.json": "2434dc61324b3a7db303a2f320f13e9878528d1471766ddd2be6e4008053734c",
+    "o247/design.v": "a6d33b32d9d3acd824d823339dcfc635a38833b274f94728960f8d988e1110c6",
 }
 
 
@@ -644,6 +653,9 @@ def test_integer_artifacts_pinned(tmp_path, monkeypatch):
     assert main([
         "attack", "--netlist", "o/netlist.json", "--ground-truth", "o/secret-assignment.json",
         "--out", "a",
+    ]) == 0
+    assert main([
+        "obfuscate", "--quant", "d/filter1.quant.json", "--dsm", "rd", "--p", "247", "--out", "o247",
     ]) == 0
     digests = {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in PINNED_ARTIFACTS}
     assert digests == PINNED_ARTIFACTS

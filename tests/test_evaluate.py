@@ -195,3 +195,22 @@ def test_emit_curves_shape_and_round_trip(built):
     key0 = data[data["key_id"] == 0]
     assert np.allclose(key0["gain"], report.entries[0].curve, atol=1e-9)
     assert np.allclose(key0["w_over_pi"], report.curve_w / np.pi, atol=1e-9)
+
+
+def _curves_one_value_at_a_time(report):
+    """Oracle: the CSV with one formatted string per value."""
+    lines = ["key_id,w_over_pi,gain"]
+    w_over_pi = (report.curve_w / np.pi).tolist()
+    for key_id, entry in enumerate(report.entries):
+        lines += [f"{key_id},{w:.10g},{g:.10g}" for w, g in zip(w_over_pi, entry.curve.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("curve_points", [0, 1, 100])
+def test_emit_curves_equals_per_value_formatting(built, curve_points):
+    # 13 keys, so key ids reach two digits.
+    b = built(1, DecoyMethod.HDRD)
+    keys = single_slice_corruptions(b.secret)[:12]
+    report = behavior_report(b.tmcm, b.secret, b.design.spec, keys, curve_points=curve_points)
+    assert len(report.entries) == 13
+    assert emit_curves(report) == _curves_one_value_at_a_time(report)

@@ -1,5 +1,7 @@
 """Gate lowering: exhaustive and randomized equivalence to the word level."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,7 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
     masks = {"a": data.draw(st.lists(lane, min_size=n_in, max_size=n_in))}
     assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
     assert GateNetlist.from_json_dict(nl.to_json_dict()).gates == nl.gates
+    assert nl.to_json_text({}) == json.dumps(nl.to_json_dict(), indent=2, sort_keys=True)
 
 
 def test_zero_input_gives_zero_product():
@@ -242,3 +245,45 @@ def test_single_tap_netlist():
     got = eval_all(nl, [0, 0], [key.bits, key.bits ^ 1], [1, 1])
     assert got[0] == 5
     assert got[1] != 5
+
+
+# Top-level fields sorting before, between and after the netlist's own.
+JSON_EXTRA = {
+    "run_config": {"dsm": "rd", "p": 247, "quant": "d/filter1.quant.json", "seed": None},
+    "a_note": [1.5e-08, [], {}, {"nested": [True, "x"]}],
+    "h": 6.04e-05,
+    "zz": "last",
+}
+
+
+def _json_text_oracle(nl, extra):
+    return json.dumps({**nl.to_json_dict(), **extra}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("extra", [{}, JSON_EXTRA], ids=["no-extra", "extra"])
+def test_json_text_equals_indented_dump_all_ops(extra):
+    gates = [(OP_AND, 2, 3), (OP_OR, 3, 4), (OP_XOR, 5, 6), (OP_NOT, 7), (OP_MUX2, 6, 8, 2)]
+    nl = GateNetlist(inputs={"x": [2, 3], "a": [4]}, outputs=[9, 8, 0], gates=gates,
+                     meta={"N": 1, "p": 2})
+    nl.validate()
+    text = nl.to_json_text(extra)
+    assert text == _json_text_oracle(nl, extra)
+    again = GateNetlist.from_json_dict(json.loads(text))
+    assert (again.gates, again.inputs, again.outputs, again.meta) == (
+        nl.gates, nl.inputs, nl.outputs, nl.meta
+    )
+
+
+def test_json_text_equals_indented_dump_without_gates():
+    nl = GateNetlist(inputs={"i": [], "x": [2]}, outputs=[2, 1], gates=[])
+    text = nl.to_json_text(JSON_EXTRA)
+    assert text == _json_text_oracle(nl, JSON_EXTRA)
+    assert GateNetlist.from_json_dict(json.loads(text)).gates == []
+
+
+def test_json_text_equals_indented_dump_lowered(built):
+    nl = built(1, DecoyMethod.HDRD).netlist
+    assert {g[0] for g in nl.gates} == {OP_AND, OP_OR, OP_XOR, OP_NOT, OP_MUX2}
+    text = nl.to_json_text(JSON_EXTRA)
+    assert text == _json_text_oracle(nl, JSON_EXTRA)
+    assert GateNetlist.from_json_dict(json.loads(text)).gates == nl.gates
