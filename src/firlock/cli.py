@@ -108,6 +108,18 @@ def _parse_secret(doc):
     return spec, tmcm, key
 
 
+# Counts and seeds that numpy would reject only deep inside a stage, with
+# a message that names no option.
+_NON_NEGATIVE_OPTIONS = ("keys", "curve_points", "seed_obfuscate", "seed_attack", "seed_eval")
+
+
+def _check_non_negative(args) -> None:
+    for name in _NON_NEGATIVE_OPTIONS:
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def _config_dict(args) -> dict:
     """The parsed options of the subcommand, the ``run_config`` of its artifacts."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
@@ -343,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_non_negative(args)
         return args.func(args)
     except fd.InfeasibleSpec as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,12 @@ scaling with 2**Q.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from firlock.forkmap import fork_map
 
 __all__ = [
     "BAND_TYPES",
@@ -279,27 +280,6 @@ class BoundSet:
             raise ValueError("lower bound exceeds upper bound")
 
 
-# The bound LPs' (A, b) in a pool worker, set as the worker starts; the
-# calling process never sets it.
-_bound_rows = None
-
-
-def _inherit_rows(A, b):
-    """Pool worker start: keep the bound LPs' rows, handed over by fork."""
-    global _bound_rows
-    _bound_rows = A, b
-
-
-def _bound_lp(task) -> float:
-    """Optimum of ``sign * h_i`` over the rows this worker inherited."""
-    i, sign = task
-    A, b = _bound_rows
-    c = np.zeros(A.shape[1])
-    c[i] = sign
-    bounds = [(-1.0, 1.0)] * A.shape[1]
-    return _solve_lp(c, A, b, bounds, "bound LP infeasible; design the filter first").fun
-
-
 def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     """Extremal value of each coefficient over the feasible polytope.
 
@@ -308,29 +288,23 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     tightest interval any feasible symmetric filter confines h_i to.
 
     The 2(M+1) LPs are independent and each runs on one core, so they
-    are solved in a pool of forked processes, one per usable CPU.  The
-    workers inherit ``A, b`` and the loaded solver from this process;
-    only the task ``(i, sign)`` and the optimum cross between them.
+    are solved by `fork_map`'s workers, which inherit ``A, b`` and the
+    loaded solver from this process; only the task ``(i, sign)`` and
+    the optimum cross between them.
     """
-    import multiprocessing
-
     import scipy.optimize  # noqa: F401  (loaded before the fork, so no worker imports it)
 
-    M = spec.M
     A, b = _band_rows(spec, grid)
-    tasks = [(i, sign) for i in range(M + 1) for sign in (1, -1)]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    pool = multiprocessing.get_context("fork").Pool(workers, _inherit_rows, (A, b))
-    try:
-        optima = pool.map(_bound_lp, tasks, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-    optima = np.array(optima)
+    n = spec.M + 1
+    box = [(-1.0, 1.0)] * n
+
+    def bound_lp(task) -> float:
+        i, sign = task
+        c = np.zeros(n)
+        c[i] = sign
+        return _solve_lp(c, A, b, box, "bound LP infeasible; design the filter first").fun
+
+    optima = np.array(fork_map(bound_lp, [(i, sign) for i in range(n) for sign in (1, -1)]))
     return BoundSet(lower=optima[0::2], upper=-optima[1::2])
 
 

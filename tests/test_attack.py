@@ -1,5 +1,8 @@
 """Attack side: slice inference, LSB-first extraction, hub recovery, reports."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,18 +116,20 @@ def test_extraction_matches_ground_truth_multiset():
 
 def test_extraction_runs_netlist_once_per_constant_and_slice(monkeypatch):
     # One run infers the key slices, one observes each constant, and one
-    # spot-checks each slice's constants together.
+    # spot-checks each slice's constants together.  The slices are solved
+    # in forked workers, so the count lives in memory they share.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
-    runs = []
+    runs = multiprocessing.get_context("fork").Value("i", 0)
     original = PackedEvaluator.run
 
     def counting_run(self, *args, **kwargs):
-        runs.append(1)
+        with runs.get_lock():
+            runs.value += 1
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(PackedEvaluator, "run", counting_run)
     rec = extract_constants(nl, seed=ATTACK_SEED)
-    assert len(runs) == 1 + sum(len(row) for row in rec.R) + tmcm.N
+    assert runs.value == 1 + sum(len(row) for row in rec.R) + tmcm.N
 
 
 def test_spot_check_split_into_runs_per_value_passes_the_same_constants(monkeypatch):
@@ -188,6 +193,33 @@ def test_extraction_raises_first_failure_in_constant_order(
     monkeypatch.setattr(attack, "SPOT_CHECK_LANES", lanes)
     with pytest.raises(error, match=message):
         extract_constants(tampered(top_keys, lsb_keys), samples=64)
+
+
+def test_extraction_raises_first_failure_in_slice_order():
+    # Slice 0's constants 3 and 5 read right on the bits extraction
+    # observes, but the top product bit is flipped when i = 0, so only its
+    # spot check fails.  Bit 0 is flipped when i = 1, so slice 1 fails on
+    # its first constant, in its worker, before slice 0 gets that far.
+    tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5), (6, 7)), seed=0)
+    nl = lower_to_gates(tmcm)
+    (i0,) = nl.inputs["i"]
+    gates, outputs = list(nl.gates), list(nl.outputs)
+    gates.append((OP_NOT, i0))
+    gates.append((OP_XOR, outputs[-1], nl.first_gate_id + len(gates) - 1))
+    outputs[-1] = nl.first_gate_id + len(gates) - 1
+    gates.append((OP_XOR, outputs[0], i0))
+    outputs[0] = nl.first_gate_id + len(gates) - 1
+    bad = GateNetlist(inputs=nl.inputs, outputs=outputs, gates=gates, meta=nl.meta)
+    bad.validate()
+    with pytest.raises(VerificationMismatch, match="fails spot check for i=0, k=0x0"):
+        extract_constants(bad, samples=64)
+    assert multiprocessing.active_children() == []
+
+
+def test_extraction_independent_of_worker_count(monkeypatch, built, extracted):
+    b = built(1, DecoyMethod.HDRD)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert extract_constants(b.netlist, seed=ATTACK_SEED) == extracted(1, DecoyMethod.HDRD)
 
 
 def test_extraction_recovers_table_order():

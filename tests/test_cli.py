@@ -480,6 +480,33 @@ def test_evaluate_negative_keys_exit_2(tmp_path, obfuscate_dir, capsys):
     assert "non-negative" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["evaluate", "--curve-points", "-1"], "--curve-points"),
+        (["evaluate", "--keys", "-1"], "--keys"),
+        (["evaluate", "--seed-eval", "-1"], "--seed-eval"),
+        (["obfuscate", "--p", "32", "--seed-obfuscate", "-1"], "--seed-obfuscate"),
+        (["attack", "--seed-attack", "-1"], "--seed-attack"),
+        (["bench", "--seed-attack", "-1"], "--seed-attack"),
+    ],
+    ids=["curve-points", "keys", "seed-eval", "seed-obfuscate", "seed-attack", "bench-seed-attack"],
+)
+def test_negative_count_or_seed_names_option_exit_2(
+    tmp_path, design_dir, obfuscate_dir, capsys, argv, option
+):
+    source = {
+        "obfuscate": ["--quant", str(design_dir / "filter1.quant.json")],
+        "attack": ["--netlist", str(obfuscate_dir / "netlist.json")],
+        "evaluate": ["--secret", str(obfuscate_dir / "secret-assignment.json")],
+        "bench": [],
+    }
+    rc = main(argv + source[argv[0]] + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{option} must be non-negative, got -1" in _one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 # Each edit leaves a netlist whose meta contradicts its ports (46 outputs,
 # 32 x bits, 5 i bits and 32 k bits at filter 1, p = 32).
 @pytest.mark.parametrize(
