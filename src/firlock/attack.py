@@ -15,9 +15,9 @@ proceeds in stages:
    desk-scale equivalent of proving a miter bit unsatisfiable; one more
    run per key slice (several for a wide one) spot-checks the slice's
    constants on random inputs.  The key slices are independent, so
-   forked workers, one per usable CPU, take one slice each; every
-   spot-check input is drawn before the fork, so the result does not
-   depend on how many workers there are;
+   forked workers, one per usable CPU, take one slice each; a slice's
+   random inputs come from its own generator, seeded by the attack seed
+   and the slice index, so the result does not depend on the workers;
 3. decoy-method classification from the extracted constant sets;
 4. hub-based coefficient recovery: a constant whose Hamming distance to
    every other extracted constant is minimal gives itself away.
@@ -173,20 +173,15 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     order is raised, as if every constant were spot-checked as soon as
     it was extracted.
 
-    The slices are independent, so `fork_map`'s workers solve one each;
-    every slice's spot-check inputs are drawn here first, in (slice,
-    value) order, so the result does not depend on the worker count.
+    The slices are independent, so `fork_map`'s workers solve one each.
+    Slice i draws its spot-check inputs from its own generator, seeded
+    by ``(seed, i)``, so the result does not depend on the worker count.
     """
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     if cbw + ibw > 63:
         raise ValueError("extraction verification uses 64-bit arithmetic; cbw + ibw must stay below 64")
     ev = PackedEvaluator(nl)
     slices = tuple(tuple(s) for s in infer_key_slices(nl))
-    rng = np.random.default_rng(seed)
-    spot_xs = [
-        [rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64) for _ in range(1 << len(bits_i))]
-        for bits_i in slices
-    ]
     width = 1 << min(cbw, ibw)
     xs = np.arange(width, dtype=np.int64)
     xs_signed = _signed(xs, ibw)
@@ -194,6 +189,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
 
     def solve_slice(i: int) -> tuple:
         bits_i = slices[i]
+        rng = np.random.default_rng((seed, i))
         row = []
         for v in range(1 << len(bits_i)):
             k = _spread(v, bits_i)
@@ -203,31 +199,30 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
                 for j in range(cbw):
                     partial |= extract_bit(observed[j], xs_signed, partial, j) << j
             except NoConsistentBit as exc:
-                _spot_check(ev, i, bits_i, row, spot_xs[i])
+                _spot_check(ev, i, bits_i, row, rng, samples)
                 raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
             row.append(_signed(partial, cbw))
-        _spot_check(ev, i, bits_i, row, spot_xs[i])
+        _spot_check(ev, i, bits_i, row, rng, samples)
         return tuple(row)
 
     rows = fork_map(solve_slice, range(len(slices)))
     return RecoveredConstantSets(R=tuple(rows), cbw=cbw, slices=slices)
 
 
-def _spot_check(ev, i, bits_i, constants, draws):
+def _spot_check(ev, i, bits_i, constants, rng, samples):
     """Full-width random check of f(c, x) == f_r(i, k, x) for slice values 0, 1, ...
 
-    ``constants[v]`` is the constant extracted for slice value v and
-    ``draws[v]`` its random x values.  One run holds i and gives value v
-    its own block of lanes, one per draw.  A slice with more values than
-    `SPOT_CHECK_LANES` holds takes several runs, in value order.
+    ``constants[v]`` is the constant extracted for slice value v.  One
+    run holds i and gives each value a block of ``samples`` lanes, whose
+    x values ``rng`` draws in value order.  A slice with more values
+    than `SPOT_CHECK_LANES` holds takes several runs, in value order.
     """
     nl = ev.nl
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
-    samples = len(draws[0])
     per_run = max(1, SPOT_CHECK_LANES // max(samples, 1))
     for first in range(0, len(constants), per_run):
         cs = constants[first : first + per_run]
-        xs = np.concatenate(draws[first : first + len(cs)])
+        xs = np.concatenate([rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64) for _ in cs])
         width = xs.size
         slice_values = np.repeat(np.arange(first, first + len(cs), dtype=np.uint64), samples)
         k_masks = [0] * len(nl.inputs["k"])

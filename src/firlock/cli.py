@@ -79,6 +79,9 @@ def _parse_netlist(doc):
     missing = {"i", "k", "x"} - nl.inputs.keys() | {"N", "cbw", "ibw"} - nl.meta.keys()
     if missing:
         raise KeyError(", ".join(sorted(missing)))
+    extra = ", ".join(sorted(nl.inputs.keys() - {"i", "k", "x"}))
+    if extra:
+        raise ValueError(f"netlist input ports must be exactly i, k and x; extra ports: {extra}")
     meta = nl.meta
     for name in ("N", "cbw", "ibw"):
         if type(meta[name]) is not int or meta[name] < 1:
@@ -301,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="LP design, bounds, quantization")
     p_design.add_argument("--spec", required=True, help="filter spec JSON file")
-    p_design.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY,
-                          dest="grid_density")
-    p_design.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY,
-                          dest="verify_density")
+    p_design.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY)
+    p_design.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY)
     p_design.add_argument("--out", default=".")
     p_design.set_defaults(func=cmd_design)
 
@@ -313,39 +314,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_obf.add_argument("--dsm", choices=["hd", "rd", "hdrd"], default="hdrd")
     p_obf.add_argument("--p", type=int, required=True, help="number of key bits")
     p_obf.add_argument("--ibw", type=int, default=32, help="filter input bit-width")
-    p_obf.add_argument("--seed-obfuscate", type=int, default=1, dest="seed_obfuscate")
+    p_obf.add_argument("--seed-obfuscate", type=int, default=1)
     p_obf.add_argument("--out", default=".")
     p_obf.set_defaults(func=cmd_obfuscate)
 
     p_atk = sub.add_parser("attack", help="extract constants and recover coefficients")
     p_atk.add_argument("--netlist", required=True, help="netlist JSON (obfuscate output)")
-    p_atk.add_argument("--seed-attack", type=int, default=2, dest="seed_attack")
-    p_atk.add_argument("--ground-truth", default=None, dest="ground_truth",
-                       help="secret-assignment.json, enables cdc scoring")
+    p_atk.add_argument("--seed-attack", type=int, default=2)
+    p_atk.add_argument("--ground-truth", help="secret-assignment.json, enables cdc scoring")
     p_atk.add_argument("--out", default=".")
     p_atk.set_defaults(func=cmd_attack)
 
     p_eval = sub.add_parser("evaluate", help="wrong-key behavior report and curves")
     p_eval.add_argument("--secret", required=True, help="secret-assignment.json")
     p_eval.add_argument("--keys", type=int, default=50, help="wrong keys to sample")
-    p_eval.add_argument("--max-hd", type=int, default=4, dest="max_hd")
-    p_eval.add_argument("--seed-eval", type=int, default=3, dest="seed_eval")
-    p_eval.add_argument("--curve-points", type=int, default=ev.CURVE_POINTS, dest="curve_points")
-    p_eval.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY,
-                        dest="verify_density")
+    p_eval.add_argument("--max-hd", type=int, default=4)
+    p_eval.add_argument("--seed-eval", type=int, default=3)
+    p_eval.add_argument("--curve-points", type=int, default=ev.CURVE_POINTS)
+    p_eval.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY)
     p_eval.add_argument("--out", default=".")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_bench = sub.add_parser("bench", help="all three reference filters end to end")
     p_bench.add_argument("--dsm", choices=["hd", "rd", "hdrd", "all"], default="all")
     p_bench.add_argument("--ibw", type=int, default=32)
-    p_bench.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY,
-                         dest="grid_density")
+    p_bench.add_argument("--grid-density", type=float, default=fd.GRID_DENSITY)
     p_bench.add_argument("--keys", type=int, default=50)
-    p_bench.add_argument("--max-hd", type=int, default=4, dest="max_hd")
-    p_bench.add_argument("--seed-obfuscate", type=int, default=1, dest="seed_obfuscate")
-    p_bench.add_argument("--seed-attack", type=int, default=2, dest="seed_attack")
-    p_bench.add_argument("--seed-eval", type=int, default=3, dest="seed_eval")
+    p_bench.add_argument("--max-hd", type=int, default=4)
+    p_bench.add_argument("--seed-obfuscate", type=int, default=1)
+    p_bench.add_argument("--seed-attack", type=int, default=2)
+    p_bench.add_argument("--seed-eval", type=int, default=3)
     p_bench.add_argument("--out", default=".")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from firlock.design import VERIFY_DENSITY, FilterSpec, build_frequency_grid, response_matrix
-from firlock.tmcm import ObfuscatedTMCM, SecretKey, _key_bits, simulate_filter
+from firlock.tmcm import ObfuscatedTMCM, SecretKey, simulate_filter
 
 __all__ = [
     "BehaviorReport",
@@ -169,7 +169,8 @@ def behavior_report(
     key's curve is the ZPFR of its taps' symmetric part on
     ``curve_points`` frequencies.  The correct key always appears first
     (key id 0 in the curve export); only wrong keys count toward the
-    violation fraction.
+    violation fraction.  ``wrong_keys`` are key-bus ints; the secret is
+    audited through its ``bits``.
     """
     grid = build_frequency_grid(spec, grid_density)
     N = tmcm.N
@@ -190,7 +191,7 @@ def behavior_report(
         excess = max(pass_dev - spec.dp, stop_dev - spec.ds)
         sym = (taps + taps[::-1]) / 2.0
         return KeyBehavior(
-            key_hex=SecretKey(_key_bits(key), secret.widths).to_hex(),
+            key_hex=SecretKey(key, secret.widths).to_hex(),
             is_secret=is_secret,
             taps=tuple(int(t) for t in taps),
             symmetric=bool(np.array_equal(taps, taps[::-1])),
@@ -201,7 +202,7 @@ def behavior_report(
             curve=curve_rows @ (sym[: M + 1] / scale),
         )
 
-    entries = [audit(secret, True)] + [audit(k, False) for k in wrong_keys]
+    entries = [audit(secret.bits, True)] + [audit(k, False) for k in wrong_keys]
     wrong = entries[1:]
     fraction = float(np.mean([e.violates for e in wrong])) if wrong else 0.0
     return BehaviorReport(

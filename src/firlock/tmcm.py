@@ -15,6 +15,7 @@ that the gate-level lowering (`firlock.netlist`) must match.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -84,7 +85,11 @@ class SecretKey:
 
     @classmethod
     def from_hex(cls, text: str, widths) -> "SecretKey":
-        return cls(bits=int(text.strip(), 16), widths=tuple(widths))
+        """The key `to_hex` wrote: hex digits only, surrounding whitespace ignored."""
+        digits = text.strip()
+        if not digits or not set(digits) <= set(string.hexdigits):
+            raise ValueError(f"key_hex must be hex digits, got {text!r}")
+        return cls(bits=int(digits, 16), widths=tuple(widths))
 
     def layout_json_dict(self) -> dict:
         return {

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ def test_extraction_raises_first_failure_in_slice_order():
     with pytest.raises(VerificationMismatch, match="fails spot check for i=0, k=0x0"):
         extract_constants(bad, samples=64)
     assert multiprocessing.active_children() == []
+
+
+def test_extraction_parent_holds_no_spot_check_inputs():
+    # Each slice task draws its own spot-check inputs, so the parent's
+    # memory does not grow with samples: 14 constants x 100k draws of
+    # 8 bytes would be 11 MB.
+    qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
+    tracemalloc.start()
+    try:
+        extract_constants(nl, samples=100_000, seed=ATTACK_SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_extraction_independent_of_worker_count(monkeypatch, built, extracted):

@@ -398,6 +398,20 @@ def test_evaluate_secret_key_wider_than_p_exit_2(tmp_path, obfuscate_dir, capsys
     assert not (tmp_path / "behavior.json").exists()
 
 
+@pytest.mark.parametrize("key_hex", ["zz", "", "0x1f", "1_f"],
+                         ids=["not-hex", "empty", "0x-prefix", "underscore"])
+def test_evaluate_secret_key_not_hex_digits_exit_2(tmp_path, obfuscate_dir, capsys, key_hex):
+    # int(text, 16) would take "0x1f" and "1_f", which `to_hex` never writes.
+    bad = _edited(
+        obfuscate_dir / "secret-assignment.json", tmp_path / "s.json",
+        lambda d: d.update(key_hex=key_hex),
+    )
+    rc = main(["evaluate", "--secret", str(bad), "--keys", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"key_hex must be hex digits, got {key_hex!r}" in _one_line_error(capsys)
+    assert not (tmp_path / "behavior.json").exists()
+
+
 def _set_n(d, n):
     d["spec"]["N"] = d["tmcm"]["N"] = n
 
@@ -529,7 +543,8 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
     assert not (tmp_path / "recovered.json").exists()
 
 
-# Each edit breaks the structure `GateNetlist.from_json_dict` checks.
+# Each edit breaks the structure `GateNetlist.from_json_dict` checks, or
+# adds an input port the attack does not drive.
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -552,10 +567,11 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
         (lambda d: d["outputs"].__setitem__(0, float(d["outputs"][0])),
          "output net id must be an integer, got "),
         (lambda d: d["outputs"].__setitem__(0, False), "output net id must be an integer, got False"),
+        (lambda d: d["inputs"].update(z=[]), "input ports must be exactly i, k and x; extra ports: z"),
     ],
     ids=["input-const", "input-past-gates", "operand-negative", "operand-later", "output-unknown",
          "n-nets", "x-repeats-x", "k-repeats-i", "operand-float", "operand-bool", "input-float",
-         "input-bool", "output-float", "output-bool"],
+         "input-bool", "output-float", "output-bool", "extra-port"],
 )
 def test_attack_malformed_netlist_structure_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
