@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     try:
         _check_non_negative(args)
         return args.func(args)
-    except fd.InfeasibleSpec as exc:
+    except (fd.InfeasibleSpec, fd.LPSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (atk.NoConsistentBit, atk.VerificationMismatch) as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "FilterSpec",
     "FrequencyGrid",
     "InfeasibleSpec",
+    "LPSolverError",
     "QuantizedFilter",
     "RealCoefficients",
     "ViolationReport",
@@ -65,6 +66,10 @@ _LP_OPTIONS = {
 
 class InfeasibleSpec(Exception):
     """No filter of the requested length meets the band constraints."""
+
+
+class LPSolverError(RuntimeError):
+    """The LP solver stopped without an optimum, or returned a point outside the constraints."""
 
 
 def linprog(*args, **kwargs):
@@ -229,13 +234,13 @@ def _solve_lp(c, A, b, bounds, infeasible: str):
     """Minimize ``c @ x`` subject to ``A x <= b`` and the variable box.
 
     Raises `InfeasibleSpec` (with message ``infeasible``) when the
-    constraints admit no point, RuntimeError on any other solver failure.
+    constraints admit no point, `LPSolverError` on any other solver failure.
     """
     res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
     if res.status == 2:
         raise InfeasibleSpec(infeasible)
     if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+        raise LPSolverError(f"LP solver failed with status {res.status}: {res.message}")
     return res
 
 
@@ -262,7 +267,7 @@ def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficien
     h = res.x[:n_h]
     residual = float(np.max(A @ h - b))
     if residual > LP_RESIDUAL_TOL:
-        raise RuntimeError(f"LP solution violates constraints by {residual:.3e}")
+        raise LPSolverError(f"LP solution violates constraints by {residual:.3e}")
     return RealCoefficients(h=h)
 
 
@@ -280,6 +285,77 @@ class BoundSet:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def _bound_solver(A, b):
+    """``solve((i, sign))``: the minimum of ``sign * h_i`` s.t. ``A h <= b``, ``-1 <= h <= 1``.
+
+    Every call solves on one HiGHS model, built here as `linprog` builds
+    it for the same LP: the same CSC matrix, row bounds and options.
+    Each solve sets the cost to ``sign * e_i`` and starts cold, with no
+    basis or solution kept from the last one, so HiGHS takes the path it
+    takes under `linprog` and every optimum has the same bits.  Like
+    `linprog`, a solve fails unless HiGHS reports an optimum whose point
+    meets the rows and the box to the feasibility tolerance.  No public
+    scipy API keeps a model between solves, hence the private bindings.
+    """
+    from scipy.optimize._highspy import _core as highs
+    from scipy.sparse import csc_array
+
+    n_rows, n = A.shape
+    matrix = csc_array(A)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_ = np.zeros(n)
+    lp.col_lower_ = np.full(n, -1.0)
+    lp.col_upper_ = np.full(n, 1.0)
+    lp.row_lower_ = np.full(n_rows, -highs.kHighsInf)
+    lp.row_upper_ = b
+    model = highs._Highs()
+    options = {
+        "presolve": "on",
+        "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
+        "log_to_console": False,
+        "output_flag": False,
+        "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        **_LP_OPTIONS,
+    }
+    for name, value in options.items():
+        if model.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise LPSolverError(f"HiGHS refused option {name}={value!r}")
+    if model.passModel(lp) == highs.HighsStatus.kError:
+        raise LPSolverError("HiGHS refused the bound LP model")
+    cols = np.arange(n, dtype=np.int32)
+
+    def solve(task) -> float:
+        i, sign = task
+        cost = np.zeros(n)
+        cost[i] = sign
+        model.changeColsCost(n, cols, cost)
+        model.clearSolver()
+        model.run()
+        status = model.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
+            raise InfeasibleSpec("bound LP infeasible; design the filter first")
+        if status != highs.HighsModelStatus.kOptimal:
+            raise LPSolverError(
+                f"LP solver failed with HiGHS model status {int(status)}: "
+                f"{model.modelStatusToString(status)}"
+            )
+        solution = model.getSolution()
+        violation = max(
+            np.max(np.asarray(solution.row_value) - b), np.max(np.abs(solution.col_value)) - 1.0
+        )
+        if not violation <= _LP_OPTIONS["primal_feasibility_tolerance"]:
+            raise LPSolverError(f"LP solution violates constraints by {violation:.3e}")
+        return model.getInfo().objective_function_value
+
+    return solve
+
+
 def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     """Extremal value of each coefficient over the feasible polytope.
 
@@ -288,23 +364,16 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     tightest interval any feasible symmetric filter confines h_i to.
 
     The 2(M+1) LPs are independent and each runs on one core, so they
-    are solved by `fork_map`'s workers, which inherit ``A, b`` and the
-    loaded solver from this process; only the task ``(i, sign)`` and
-    the optimum cross between them.
+    are solved by `fork_map`'s workers.  The HiGHS model of
+    `_bound_solver` is built here once, before the fork, so each worker
+    inherits its own copy and solves all of its tasks on it, cold-started
+    for each LP; only the task ``(i, sign)`` and the optimum cross
+    between the processes.
     """
-    import scipy.optimize  # noqa: F401  (loaded before the fork, so no worker imports it)
-
     A, b = _band_rows(spec, grid)
     n = spec.M + 1
-    box = [(-1.0, 1.0)] * n
-
-    def bound_lp(task) -> float:
-        i, sign = task
-        c = np.zeros(n)
-        c[i] = sign
-        return _solve_lp(c, A, b, box, "bound LP infeasible; design the filter first").fun
-
-    optima = np.array(fork_map(bound_lp, [(i, sign) for i in range(n) for sign in (1, -1)]))
+    tasks = [(i, sign) for i in range(n) for sign in (1, -1)]
+    optima = np.array(fork_map(_bound_solver(A, b), tasks))
     return BoundSet(lower=optima[0::2], upper=-optima[1::2])
 
 

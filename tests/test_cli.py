@@ -77,6 +77,22 @@ def test_design_infeasible_exit_1(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_design_bound_lp_solver_failure_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    # Patched before the pool forks, so the workers inherit it; the
+    # parent's design LP is left alone, so the failure comes from a worker.
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    parent, status = os.getpid(), _Highs.getModelStatus
+    monkeypatch.setattr(
+        _Highs, "getModelStatus",
+        lambda self: status(self) if os.getpid() == parent else HighsModelStatus.kSolveError,
+    )
+    assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
+    assert "LP solver failed with HiGHS model status 4: Solve error" in _one_line_error(capsys)
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.glob("filter1.*.json"))
+
+
 def test_obfuscate_outputs(obfuscate_dir):
     key_hex = (obfuscate_dir / "key.hex").read_text().strip()
     assert len(key_hex) == 8 and key_hex == key_hex.lower()

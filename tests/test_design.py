@@ -1,17 +1,20 @@
 """Filter design: grids, ZPFR, LP design, bounds, quantization, verification."""
 
 import multiprocessing
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracles import lattice_infeasibility, simplex_solve
 
-from firlock import design
 from firlock.design import (
     FilterSpec,
     InfeasibleSpec,
+    LPSolverError,
     RealCoefficients,
     _band_rows,
+    _bound_solver,
     _solve_lp,
     build_frequency_grid,
     coefficient_bounds,
@@ -223,13 +226,65 @@ def test_bounds_infeasible_spec_raises_in_parent_and_leaves_no_process():
 
 
 def test_bounds_solver_failure_raises_in_parent_and_leaves_no_process(monkeypatch):
-    # The workers are forked after the patch, so they inherit it.
-    failed = type("Result", (), {"status": 4, "message": "numerical difficulties"})
-    monkeypatch.setattr(design, "linprog", lambda *args, **kwargs: failed)
+    # The workers are forked after the patch, so they inherit it; the
+    # parent's own calls are left alone, so the failure comes from a worker.
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    parent, status = os.getpid(), _Highs.getModelStatus
+    monkeypatch.setattr(
+        _Highs, "getModelStatus",
+        lambda self: status(self) if os.getpid() == parent else HighsModelStatus.kSolveError,
+    )
     spec = lowpass(N=7, wp=0.3, ws=0.7, dp=0.1, ds=0.1)
-    with pytest.raises(RuntimeError, match="status 4: numerical difficulties"):
+    with pytest.raises(RuntimeError, match="model status 4: Solve error") as info:
+        coefficient_bounds(spec, build_frequency_grid(spec))
+    assert info.type is LPSolverError
+    assert multiprocessing.active_children() == []
+
+
+def test_bounds_optimum_outside_constraints_raises_in_parent(monkeypatch):
+    # An optimum whose point breaks a row by far more than the tolerance.
+    from scipy.optimize._highspy._core import _Highs
+
+    parent, solution = os.getpid(), _Highs.getSolution
+    monkeypatch.setattr(
+        _Highs, "getSolution",
+        lambda self: solution(self) if os.getpid() == parent
+        else SimpleNamespace(row_value=[2.0], col_value=[0.0]),
+    )
+    spec = lowpass(N=7, wp=0.3, ws=0.7, dp=0.1, ds=0.1)
+    with pytest.raises(LPSolverError, match="LP solution violates constraints by"):
         coefficient_bounds(spec, build_frequency_grid(spec))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("index, density", [(1, 16.0), (2, 4.0)], ids=["filter1", "filter2-coarse"])
+def test_bound_optima_independent_of_history_and_worker_count(monkeypatch, index, density):
+    """Shuffled solves on one model, one worker, and the default pool all
+    give the bits of the LPs solved one at a time on fresh solvers."""
+    spec = reference_spec(index)
+    grid = build_frequency_grid(spec, density)
+    A, b = _band_rows(spec, grid)
+    n = spec.M + 1
+    tasks = [(i, sign) for i in range(n) for sign in (1, -1)]
+    expected = np.empty(len(tasks))
+    for j, (i, sign) in enumerate(tasks):
+        c = np.zeros(n)
+        c[i] = sign
+        expected[j] = _solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+
+    solve = _bound_solver(A, b)
+    shuffled = np.empty(len(tasks))
+    for j in np.random.default_rng(index).permutation(len(tasks)):
+        shuffled[j] = solve(tasks[j])
+    assert shuffled.tobytes() == expected.tobytes()
+
+    pooled = [coefficient_bounds(spec, grid)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    pooled.append(coefficient_bounds(spec, grid))
+    for bounds in pooled:
+        assert bounds.lower.tobytes() == expected[0::2].tobytes()
+        assert bounds.upper.tobytes() == (-expected[1::2]).tobytes()
 
 
 def test_bound_optimality_via_added_constraint(designed):
