@@ -244,7 +244,7 @@ def cmd_attack(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _config_dict(args)
     spec, tmcm, key = _load(args.secret, "secret assignment", _parse_secret)
-    wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
+    wrong = ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval)
     report = ev.behavior_report(
         tmcm, key, spec, wrong,
         grid_density=args.verify_density, curve_points=args.curve_points,
@@ -270,8 +270,10 @@ def cmd_bench(args) -> int:
         for method in methods:
             da, tmcm, key, nl = _obfuscate(qf, method, p, args.ibw, args.seed_obfuscate)
             _, verdict, report = _attack(nl, args.seed_attack, qf.coeffs)
-            wrong = list(ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval).keys)
-            wrong += ev.single_slice_corruptions(key)
+            wrong = [
+                *ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval),
+                *ev.single_slice_corruptions(key),
+            ]
             behavior = ev.behavior_report(tmcm, key, spec, wrong)
             rows.append(
                 {

@@ -213,20 +213,35 @@ class RealCoefficients:
     h: np.ndarray
 
 
-def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
-    """Stacked one-sided constraint rows A h <= b for both bands."""
+def _ranged_rows(spec: FilterSpec, grid: FrequencyGrid):
+    """The band constraints as ranged rows ``lo <= R h <= hi``, one per grid point.
+
+    Returns ``R, lo, hi, upper, lower``.  `_band_rows` splits ranged row
+    k into two one-sided rows: ``R_k h <= hi_k`` at index ``upper[k]``
+    and ``-R_k h <= -lo_k`` at index ``lower[k]``; per band, the upper
+    halves come first, then the lower halves, passband before stopband.
+    """
     M = spec.M
-    Ap = response_matrix(grid.passband, M)
-    As = response_matrix(grid.stopband, M)
-    A = np.vstack([Ap, -Ap, As, -As])
-    b = np.concatenate(
-        [
-            np.full(len(Ap), 1.0 + spec.dp),
-            np.full(len(Ap), -(1.0 - spec.dp)),
-            np.full(len(As), spec.ds),
-            np.full(len(As), spec.ds),
-        ]
-    )
+    n_p, n_s = len(grid.passband), len(grid.stopband)
+    R = np.vstack([response_matrix(grid.passband, M), response_matrix(grid.stopband, M)])
+    lo = np.concatenate([np.full(n_p, 1.0 - spec.dp), np.full(n_s, -spec.ds)])
+    hi = np.concatenate([np.full(n_p, 1.0 + spec.dp), np.full(n_s, spec.ds)])
+    upper = np.concatenate([np.arange(n_p), 2 * n_p + np.arange(n_s)])
+    lower = upper + np.repeat([n_p, n_s], [n_p, n_s])
+    return R, lo, hi, upper, lower
+
+
+def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
+    """Stacked one-sided constraint rows A h <= b for both bands.
+
+    Each ranged row of `_ranged_rows` gives two rows here; negation is
+    exact, so ``A`` and ``b`` hold the ranged rows' bits.
+    """
+    R, lo, hi, upper, lower = _ranged_rows(spec, grid)
+    A = np.empty((2 * len(R), R.shape[1]))
+    A[upper], A[lower] = R, -R
+    b = np.empty(2 * len(R))
+    b[upper], b[lower] = hi, -lo
     return A, b
 
 
@@ -285,57 +300,77 @@ class BoundSet:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def _bound_solver(A, b):
+def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     """``solve((i, sign))``: the minimum of ``sign * h_i`` s.t. ``A h <= b``, ``-1 <= h <= 1``.
 
-    Every call solves on one HiGHS model, built here as `linprog` builds
-    it for the same LP: the same CSC matrix, row bounds and options.
-    Each solve sets the cost to ``sign * e_i`` and starts cold, with no
-    basis or solution kept from the last one, so HiGHS takes the path it
-    takes under `linprog` and every optimum has the same bits.  Like
-    `linprog`, a solve fails unless HiGHS reports an optimum whose point
-    meets the rows and the box to the feasibility tolerance.  No public
-    scipy API keeps a model between solves, hence the private bindings.
+    ``A h <= b`` are the rows of `_band_rows`.  Every call solves on two
+    HiGHS models built here, each cold-started (no basis or solution
+    kept from the last call) after its cost is set to ``sign * e_i``:
+
+    * the ranged model, one row ``lo <= R h <= hi`` per grid point with
+      presolve off, only finds an optimal basis;
+    * the original model, built as `linprog` builds the same LP (the
+      same CSC matrix, row bounds and options), starts from that basis
+      mapped onto the row pairs.  HiGHS skips presolve when it is given
+      a basis, and from an optimal one it does what `linprog`'s run does
+      after postsolve, so every optimum has the bits of a `linprog` solve.
+
+    A ranged row at its upper (lower) bound makes its upper (lower)
+    half nonbasic at that half's upper bound, the other half basic; a
+    basic ranged row makes both halves basic.  Columns keep their status.
+    Like `linprog`, a solve fails unless HiGHS reports an optimum whose
+    point meets the rows and the box to the feasibility tolerance.  No
+    public scipy API keeps a model between solves, hence the private
+    bindings.
     """
     from scipy.optimize._highspy import _core as highs
     from scipy.sparse import csc_array
 
-    n_rows, n = A.shape
-    matrix = csc_array(A)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
-    lp.col_cost_ = np.zeros(n)
-    lp.col_lower_ = np.full(n, -1.0)
-    lp.col_upper_ = np.full(n, 1.0)
-    lp.row_lower_ = np.full(n_rows, -highs.kHighsInf)
-    lp.row_upper_ = b
-    model = highs._Highs()
-    options = {
-        "presolve": "on",
-        "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
-        "log_to_console": False,
-        "output_flag": False,
-        "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        **_LP_OPTIONS,
-    }
-    for name, value in options.items():
-        if model.setOptionValue(name, value) == highs.HighsStatus.kError:
-            raise LPSolverError(f"HiGHS refused option {name}={value!r}")
-    if model.passModel(lp) == highs.HighsStatus.kError:
-        raise LPSolverError("HiGHS refused the bound LP model")
-    cols = np.arange(n, dtype=np.int32)
+    R, lo, hi, upper, lower = _ranged_rows(spec, grid)
+    A, b = _band_rows(spec, grid)
+    n = spec.M + 1
 
-    def solve(task) -> float:
-        i, sign = task
-        cost = np.zeros(n)
-        cost[i] = sign
+    def model_of(matrix, row_lower, row_upper, presolve):
+        matrix = csc_array(matrix)
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = np.zeros(n)
+        lp.col_lower_ = np.full(n, -1.0)
+        lp.col_upper_ = np.full(n, 1.0)
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        model = highs._Highs()
+        options = {
+            "presolve": presolve,
+            "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
+            "log_to_console": False,
+            "output_flag": False,
+            "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+            **_LP_OPTIONS,
+        }
+        for name, value in options.items():
+            if model.setOptionValue(name, value) == highs.HighsStatus.kError:
+                raise LPSolverError(f"HiGHS refused option {name}={value!r}")
+        if model.passModel(lp) == highs.HighsStatus.kError:
+            raise LPSolverError("HiGHS refused the bound LP model")
+        return model
+
+    ranged = model_of(R, lo, hi, "off")
+    original = model_of(A, np.full(len(A), -highs.kHighsInf), b, "on")
+    cols = np.arange(n, dtype=np.int32)
+    S = highs.HighsBasisStatus
+    by_code = np.array(sorted(S.__members__.values(), key=int), dtype=object)
+
+    def run_cold(model, cost, basis=None):
         model.changeColsCost(n, cols, cost)
         model.clearSolver()
+        if basis is not None and model.setBasis(basis) == highs.HighsStatus.kError:
+            raise LPSolverError("HiGHS refused the bound LP basis")
         model.run()
         status = model.getModelStatus()
         if status == highs.HighsModelStatus.kInfeasible:
@@ -345,13 +380,26 @@ def _bound_solver(A, b):
                 f"LP solver failed with HiGHS model status {int(status)}: "
                 f"{model.modelStatusToString(status)}"
             )
-        solution = model.getSolution()
+
+    def solve(task) -> float:
+        i, sign = task
+        cost = np.zeros(n)
+        cost[i] = sign
+        run_cold(ranged, cost)
+        basis = ranged.getBasis()
+        found = np.fromiter(map(int, basis.row_status), np.int8, len(R))
+        rows = np.full(len(A), int(S.kBasic))
+        rows[upper[found == int(S.kUpper)]] = int(S.kUpper)
+        rows[lower[found == int(S.kLower)]] = int(S.kUpper)
+        basis.row_status = by_code[rows].tolist()
+        run_cold(original, cost, basis)
+        solution = original.getSolution()
         violation = max(
             np.max(np.asarray(solution.row_value) - b), np.max(np.abs(solution.col_value)) - 1.0
         )
         if not violation <= _LP_OPTIONS["primal_feasibility_tolerance"]:
             raise LPSolverError(f"LP solution violates constraints by {violation:.3e}")
-        return model.getInfo().objective_function_value
+        return original.getInfo().objective_function_value
 
     return solve
 
@@ -364,16 +412,18 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     tightest interval any feasible symmetric filter confines h_i to.
 
     The 2(M+1) LPs are independent and each runs on one core, so they
-    are solved by `fork_map`'s workers.  The HiGHS model of
-    `_bound_solver` is built here once, before the fork, so each worker
-    inherits its own copy and solves all of its tasks on it, cold-started
-    for each LP; only the task ``(i, sign)`` and the optimum cross
+    are solved by `fork_map`'s workers.  The two HiGHS models of
+    `_bound_solver` are built here once, before the fork, so each worker
+    inherits its own copies and solves all of its tasks on them.  Each
+    LP finds its optimal basis on the ranged model (one row per grid
+    point, half the rows, no presolve) and finishes on the original LP
+    from that basis, with the bits of a `linprog` solve; both start cold
+    for each LP.  Only the task ``(i, sign)`` and the optimum cross
     between the processes.
     """
-    A, b = _band_rows(spec, grid)
     n = spec.M + 1
     tasks = [(i, sign) for i in range(n) for sign in (1, -1)]
-    optima = np.array(fork_map(_bound_solver(A, b), tasks))
+    optima = np.array(fork_map(_bound_solver(spec, grid), tasks))
     return BoundSet(lower=optima[0::2], upper=-optima[1::2])
 
 

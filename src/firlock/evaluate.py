@@ -26,7 +26,6 @@ from firlock.tmcm import ObfuscatedTMCM, SecretKey, simulate_filter
 __all__ = [
     "BehaviorReport",
     "KeyBehavior",
-    "WrongKeySample",
     "behavior_report",
     "effective_coefficients",
     "emit_curves",
@@ -44,14 +43,7 @@ CURVE_POINTS = 257
 _ENUMERATION_LIMIT = 1 << 18
 
 
-@dataclass(frozen=True)
-class WrongKeySample:
-    """Distinct wrong keys within a Hamming ball of the secret."""
-
-    keys: tuple
-
-
-def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> WrongKeySample:
+def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> tuple:
     """Uniform sample of ``count`` distinct keys at HD 1..max_hd from the secret."""
     p = secret.p
     if count < 0:
@@ -69,7 +61,7 @@ def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> 
             for positions in combinations(range(p), d):
                 masks.append(sum(1 << b for b in positions))
         chosen = rng.choice(len(masks), size=count, replace=False)
-        keys = tuple(secret.bits ^ masks[m] for m in chosen)
+        keys = [secret.bits ^ masks[m] for m in chosen]
     else:
         weights = np.array(sizes, dtype=float) / total
         seen = set()
@@ -81,8 +73,7 @@ def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> 
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-        keys = tuple(keys)
-    return WrongKeySample(keys=keys)
+    return tuple(keys)
 
 
 def single_slice_corruptions(secret: SecretKey) -> list:

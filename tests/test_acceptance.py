@@ -86,9 +86,10 @@ def test_criterion_4_wrong_key_corruption(built):
         for dsm in METHODS:
             b = built(index, dsm)
             spec = b.design.spec
-            keys = list(
-                sample_wrong_keys(b.secret, 50, max_hd=4, seed=EVAL_SEED).keys
-            ) + single_slice_corruptions(b.secret)
+            keys = [
+                *sample_wrong_keys(b.secret, 50, max_hd=4, seed=EVAL_SEED),
+                *single_slice_corruptions(b.secret),
+            ]
             step = np.ones(b.tmcm.N, dtype=np.int64)
             correct_stream = simulate_filter(b.filt, b.secret, step)
             for k in keys:

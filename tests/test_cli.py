@@ -93,6 +93,23 @@ def test_design_bound_lp_solver_failure_exit_1(tmp_path, spec_file, capsys, monk
     assert not list(tmp_path.glob("filter1.*.json"))
 
 
+def test_design_ranged_bound_lp_failure_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    # Only the workers' ranged model (the one with presolve off) fails.
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    parent, status = os.getpid(), _Highs.getModelStatus
+
+    def ranged_fails(self):
+        ranged = self.getOptionValue("presolve")[1] == "off"
+        return HighsModelStatus.kSolveError if ranged and os.getpid() != parent else status(self)
+
+    monkeypatch.setattr(_Highs, "getModelStatus", ranged_fails)
+    assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
+    assert "LP solver failed with HiGHS model status 4: Solve error" in _one_line_error(capsys)
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.glob("filter1.*.json"))
+
+
 def test_obfuscate_outputs(obfuscate_dir):
     key_hex = (obfuscate_dir / "key.hex").read_text().strip()
     assert len(key_hex) == 8 and key_hex == key_hex.lower()

@@ -15,6 +15,7 @@ from firlock.design import (
     RealCoefficients,
     _band_rows,
     _bound_solver,
+    _ranged_rows,
     _solve_lp,
     build_frequency_grid,
     coefficient_bounds,
@@ -258,7 +259,39 @@ def test_bounds_optimum_outside_constraints_raises_in_parent(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("index, density", [(1, 16.0), (2, 4.0)], ids=["filter1", "filter2-coarse"])
+def test_bounds_ranged_solve_failure_raises_in_parent_and_leaves_no_process(monkeypatch):
+    # Only the ranged model (the one with presolve off) fails, and only in
+    # the workers: the original model never sees a basis.
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    parent, status = os.getpid(), _Highs.getModelStatus
+
+    def ranged_fails(self):
+        ranged = self.getOptionValue("presolve")[1] == "off"
+        return HighsModelStatus.kSolveError if ranged and os.getpid() != parent else status(self)
+
+    monkeypatch.setattr(_Highs, "getModelStatus", ranged_fails)
+    spec = lowpass(N=7, wp=0.3, ws=0.7, dp=0.1, ds=0.1)
+    with pytest.raises(LPSolverError, match="model status 4: Solve error"):
+        coefficient_bounds(spec, build_frequency_grid(spec))
+    assert multiprocessing.active_children() == []
+
+
+def test_ranged_rows_split_into_the_band_rows():
+    """Each ranged row's two halves are its band rows, bit for bit."""
+    spec = reference_spec(3)
+    grid = build_frequency_grid(spec, 4.0)
+    R, lo, hi, upper, lower = _ranged_rows(spec, grid)
+    A, b = _band_rows(spec, grid)
+    assert sorted(np.concatenate([upper, lower])) == list(range(len(A)))
+    assert A[upper].tobytes() == R.tobytes() and A[lower].tobytes() == (-R).tobytes()
+    assert b[upper].tobytes() == hi.tobytes() and b[lower].tobytes() == (-lo).tobytes()
+    assert np.all(lo < hi)
+
+
+@pytest.mark.parametrize(
+    "index, density", [(1, 16.0), (2, 4.0), (2, 16.0)], ids=["filter1", "filter2-coarse", "filter2"]
+)
 def test_bound_optima_independent_of_history_and_worker_count(monkeypatch, index, density):
     """Shuffled solves on one model, one worker, and the default pool all
     give the bits of the LPs solved one at a time on fresh solvers."""
@@ -273,7 +306,7 @@ def test_bound_optima_independent_of_history_and_worker_count(monkeypatch, index
         c[i] = sign
         expected[j] = _solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
 
-    solve = _bound_solver(A, b)
+    solve = _bound_solver(spec, grid)
     shuffled = np.empty(len(tasks))
     for j in np.random.default_rng(index).permutation(len(tasks)):
         shuffled[j] = solve(tasks[j])

@@ -24,24 +24,24 @@ from conftest import EVAL_SEED, make_quantized
 
 def test_max_hd_one_is_single_bit_flips(built):
     secret = built(1, DecoyMethod.HDRD).secret
-    sample = sample_wrong_keys(secret, count=32, max_hd=1, seed=EVAL_SEED)
-    assert len(set(sample.keys)) == 32
-    assert sorted(bin(k ^ secret.bits).count("1") for k in sample.keys) == [1] * 32
+    keys = sample_wrong_keys(secret, count=32, max_hd=1, seed=EVAL_SEED)
+    assert len(set(keys)) == 32
+    assert sorted(bin(k ^ secret.bits).count("1") for k in keys) == [1] * 32
 
 
 def test_sample_fifty_within_four(built):
     secret = built(1, DecoyMethod.HDRD).secret
-    sample = sample_wrong_keys(secret, count=50, max_hd=4, seed=EVAL_SEED)
-    assert len(set(sample.keys)) == 50
-    assert all(1 <= bin(k ^ secret.bits).count("1") <= 4 for k in sample.keys)
+    keys = sample_wrong_keys(secret, count=50, max_hd=4, seed=EVAL_SEED)
+    assert len(set(keys)) == 50
+    assert all(1 <= bin(k ^ secret.bits).count("1") <= 4 for k in keys)
 
 
 def test_sample_deterministic(built):
     secret = built(1, DecoyMethod.HDRD).secret
     a = sample_wrong_keys(secret, 50, 4, seed=1)
     b = sample_wrong_keys(secret, 50, 4, seed=1)
-    assert a.keys == b.keys
-    assert a.keys != sample_wrong_keys(secret, 50, 4, seed=2).keys
+    assert a == b
+    assert a != sample_wrong_keys(secret, 50, 4, seed=2)
 
 
 def test_sample_ball_exhaustion_rejected(built):
@@ -52,9 +52,9 @@ def test_sample_ball_exhaustion_rejected(built):
 
 def test_large_keyspace_rejection_path(built):
     secret = built(3, DecoyMethod.RD).secret  # p = 128: ball too big to enumerate
-    sample = sample_wrong_keys(secret, count=50, max_hd=4, seed=EVAL_SEED)
-    assert len(set(sample.keys)) == 50
-    assert all(1 <= bin(k ^ secret.bits).count("1") <= 4 for k in sample.keys)
+    keys = sample_wrong_keys(secret, count=50, max_hd=4, seed=EVAL_SEED)
+    assert len(set(keys)) == 50
+    assert all(1 <= bin(k ^ secret.bits).count("1") <= 4 for k in keys)
 
 
 def test_single_slice_corruptions_cover_every_wrong_value(built):

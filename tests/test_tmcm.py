@@ -167,8 +167,10 @@ def test_wrong_keys_corrupt_step_stream(built):
     b = built(1, DecoyMethod.HDRD)
     step = np.ones(b.tmcm.N, dtype=np.int64)
     correct = simulate_filter(b.tmcm, b.secret, step)
-    keys = list(sample_wrong_keys(b.secret, 1000, max_hd=b.secret.p, seed=21).keys)
-    keys += single_slice_corruptions(b.secret)
+    keys = [
+        *sample_wrong_keys(b.secret, 1000, max_hd=b.secret.p, seed=21),
+        *single_slice_corruptions(b.secret),
+    ]
     for k in keys:
         assert not np.array_equal(simulate_filter(b.tmcm, k, step), correct)
 
