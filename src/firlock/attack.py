@@ -12,12 +12,14 @@ proceeds in stages:
    i and k held so that the evaluator skips the logic they decide,
    observes every input the scan needs, and the bits are decided one at
    a time by an exhaustive check over the free low bits of x -- the
-   desk-scale equivalent of proving a miter bit unsatisfiable; one more
-   run per key slice (several for a wide one) spot-checks the slice's
-   constants on random inputs.  The key slices are independent, so
-   forked workers, one per usable CPU, take one slice each; a slice's
-   random inputs come from its own generator, seeded by the attack seed
-   and the slice index, so the result does not depend on the workers;
+   desk-scale equivalent of proving a miter bit unsatisfiable; runs of
+   random inputs then spot-check the constants, consecutive key slices
+   sharing a run while their constants fit (a slice too wide for one
+   run takes several).  The key slices are independent, so forked
+   workers, one per usable CPU, take one group of slices that share a
+   run each; a slice's random inputs come from its own generator,
+   seeded by the attack seed and the slice index, so the result does
+   not depend on the workers or on the grouping;
 3. decoy-method classification from the extracted constant sets;
 4. hub-based coefficient recovery: a constant whose Hamming distance to
    every other extracted constant is minimal gives itself away.
@@ -52,8 +54,9 @@ __all__ = [
 
 
 HD_THRESHOLD = 0.5  # hub fraction from which `classify_dsm` says HD-like
-# Most lanes in one spot-check run: 2 KB per net value however wide the key
-# slice (all 512 values of a 9-bit slice in one run would take 64 KB per net).
+# Most lanes in one spot-check run: 2 KB per net value however many key
+# slices share the run or however wide one slice is (all 512 values of a
+# 9-bit slice in one run would take 64 KB per net).
 SPOT_CHECK_LANES = 1 << 14
 
 
@@ -166,16 +169,18 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     One netlist run infers the key slices.  One run per constant, with
     i and k held, observes product bits 0..cbw-1 on
     x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads,
-    and `extract_bit` decides the bits.  One run per key slice then
-    spot-checks all of the slice's constants, each on ``samples``
-    random full-width inputs (a slice too wide for `SPOT_CHECK_LANES`
-    takes several runs).  The first failure in (slice, constant)
-    order is raised, as if every constant were spot-checked as soon as
-    it was extracted.
+    and `extract_bit` decides the bits.  Runs of at most
+    `SPOT_CHECK_LANES` lanes then spot-check the constants, each on
+    ``samples`` random full-width inputs: consecutive slices whose
+    constants fit in one run share it, and a slice too wide for one run
+    takes several.  The first failure in (slice, constant) order is
+    raised, as if every constant were spot-checked as soon as it was
+    extracted.
 
-    The slices are independent, so `fork_map`'s workers solve one each.
-    Slice i draws its spot-check inputs from its own generator, seeded
-    by ``(seed, i)``, so the result does not depend on the worker count.
+    The slices are independent, so `fork_map`'s workers solve one group
+    of slices that share a run each.  Slice i draws its spot-check
+    inputs from its own generator, seeded by ``(seed, i)``, so the
+    result does not depend on the worker count or on the grouping.
     """
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     if cbw + ibw > 63:
@@ -187,55 +192,91 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     xs_signed = _signed(xs, ibw)
     x_masks = pack_value_bits(xs, ibw)
 
-    def solve_slice(i: int) -> tuple:
-        bits_i = slices[i]
-        rng = np.random.default_rng((seed, i))
-        row = []
-        for v in range(1 << len(bits_i)):
-            k = _spread(v, bits_i)
-            observed = ev.run({"i": i, "k": k, "x": x_masks}, width, out_bits=range(cbw))
-            partial = 0
-            try:
-                for j in range(cbw):
-                    partial |= extract_bit(observed[j], xs_signed, partial, j) << j
-            except NoConsistentBit as exc:
-                _spot_check(ev, i, bits_i, row, rng, samples)
-                raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
-            row.append(_signed(partial, cbw))
-        _spot_check(ev, i, bits_i, row, rng, samples)
-        return tuple(row)
+    def solve_group(group) -> list:
+        rows = []
+        for i in group:
+            bits_i = slices[i]
+            row = []
+            rows.append(row)
+            for v in range(1 << len(bits_i)):
+                k = _spread(v, bits_i)
+                observed = ev.run({"i": i, "k": k, "x": x_masks}, width, out_bits=range(cbw))
+                partial = 0
+                try:
+                    for j in range(cbw):
+                        partial |= extract_bit(observed[j], xs_signed, partial, j) << j
+                except NoConsistentBit as exc:
+                    _spot_check(ev, slices, group, rows, samples, seed)
+                    raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
+                row.append(_signed(partial, cbw))
+        _spot_check(ev, slices, group, rows, samples, seed)
+        return rows
 
-    rows = fork_map(solve_slice, range(len(slices)))
+    groups = _spot_check_groups(slices, _values_per_run(samples))
+    rows = [tuple(row) for group_rows in fork_map(solve_group, groups) for row in group_rows]
     return RecoveredConstantSets(R=tuple(rows), cbw=cbw, slices=slices)
 
 
-def _spot_check(ev, i, bits_i, constants, rng, samples):
-    """Full-width random check of f(c, x) == f_r(i, k, x) for slice values 0, 1, ...
+def _values_per_run(samples: int) -> int:
+    """Slice values one spot-check run holds, ``samples`` lanes each."""
+    return max(1, SPOT_CHECK_LANES // max(samples, 1))
 
-    ``constants[v]`` is the constant extracted for slice value v.  One
-    run holds i and gives each value a block of ``samples`` lanes, whose
-    x values ``rng`` draws in value order.  A slice with more values
-    than `SPOT_CHECK_LANES` holds takes several runs, in value order.
+
+def _spot_check_groups(slices, per_run: int) -> list:
+    """Consecutive slice indices whose values fit in one run of ``per_run``.
+
+    A slice with more values than a run holds is a group of its own.
+    """
+    groups, filled = [], per_run
+    for i, bits in enumerate(slices):
+        values = 1 << len(bits)
+        if filled + values > per_run:
+            groups.append([])
+            filled = 0
+        groups[-1].append(i)
+        filled += values
+    return groups
+
+
+def _spot_check(ev, slices, group, rows, samples, seed):
+    """Full-width random check of f(c, x) == f_r(i, k, x), in (slice, value) order.
+
+    ``rows[n]`` lists the constants extracted for slice ``group[n]``, in
+    value order (the last row may stop early).  Each (slice, value) pair
+    gets a block of ``samples`` lanes, with i and k set to it and x drawn
+    from the slice's generator, seeded by ``(seed, i)``; k's other
+    slices' bits stay 0.  The pairs fill runs of at most
+    `SPOT_CHECK_LANES` lanes in order, each run's x drawn as it is built.
+    A run that covers one slice holds i, so the evaluator prunes by it.
     """
     nl = ev.nl
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
-    per_run = max(1, SPOT_CHECK_LANES // max(samples, 1))
-    for first in range(0, len(constants), per_run):
-        cs = constants[first : first + per_run]
-        xs = np.concatenate([rng.integers(0, 1 << ibw, size=samples, dtype=np.uint64) for _ in cs])
-        width = xs.size
-        slice_values = np.repeat(np.arange(first, first + len(cs), dtype=np.uint64), samples)
+    rngs = {i: np.random.default_rng((seed, i)) for i in group}
+    pairs = [(i, v, c) for i, row in zip(group, rows) for v, c in enumerate(row)]
+    per_run = _values_per_run(samples)
+    for first in range(0, len(pairs), per_run):
+        batch_i, batch_v, batch_c = zip(*pairs[first : first + per_run])
+        xs = np.concatenate(
+            [rngs[i].integers(0, 1 << ibw, size=samples, dtype=np.uint64) for i in batch_i]
+        )
+        lane_i = np.repeat(np.array(batch_i, dtype=np.uint64), samples)
+        lane_v = np.repeat(np.array(batch_v, dtype=np.uint64), samples)
+        lo, hi = batch_i[0], batch_i[-1]
+        i_port = lo if lo == hi else pack_value_bits(lane_i, len(nl.inputs["i"]))
         k_masks = [0] * len(nl.inputs["k"])
-        for pos, m in zip(bits_i, pack_value_bits(slice_values, len(bits_i))):
-            k_masks[pos] = m
-        observed = ev.run({"i": i, "k": k_masks, "x": pack_value_bits(xs, ibw)}, width)
-        products = np.repeat(np.asarray(cs, dtype=np.int64), samples) * _signed(xs.astype(np.int64), ibw)
+        for i in range(lo, hi + 1):
+            values = np.where(lane_i == i, lane_v, np.uint64(0))
+            for pos, m in zip(slices[i], pack_value_bits(values, len(slices[i]))):
+                k_masks[pos] = m
+        observed = ev.run({"i": i_port, "k": k_masks, "x": pack_value_bits(xs, ibw)}, xs.size)
+        constants = np.repeat(np.array(batch_c, dtype=np.int64), samples)
+        products = constants * _signed(xs.astype(np.int64), ibw)
         diff = 0
         for o, e in zip(observed, pack_value_bits(products.astype(np.uint64), cbw + ibw)):
             diff |= o ^ e
-        for v in range(len(cs)):
-            if (diff >> (v * samples)) & ((1 << samples) - 1):
-                k = _spread(first + v, bits_i)
+        for n, (i, v) in enumerate(zip(batch_i, batch_v)):
+            if (diff >> (n * samples)) & ((1 << samples) - 1):
+                k = _spread(v, slices[i])
                 raise VerificationMismatch(f"extracted constant fails spot check for i={i}, k={k:#x}")
 
 

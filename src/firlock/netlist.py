@@ -150,7 +150,7 @@ class GateNetlist:
             meta=dict(d.get("meta", {})),
         )
         nl.validate()
-        if nl.n_nets != d["n_nets"]:
+        if nl.n_nets != strict_int(d["n_nets"], "n_nets"):
             raise ValueError("net count mismatch")
         return nl
 

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import tracemalloc
+import uuid
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from firlock.attack import (
 )
 from firlock.decoys import DecoyMethod, assign_decoys, candidate_set
 from firlock.netlist import (
+    OP_AND,
+    OP_MUX2,
     OP_NOT,
     OP_XOR,
     GateNetlist,
@@ -115,10 +118,11 @@ def test_extraction_matches_ground_truth_multiset():
         assert len(rec.R[i]) == 1 << len(rec.slices[i])
 
 
-def test_extraction_runs_netlist_once_per_constant_and_slice(monkeypatch):
-    # One run infers the key slices, one observes each constant, and one
-    # spot-checks each slice's constants together.  The slices are solved
-    # in forked workers, so the count lives in memory they share.
+def test_extraction_runs_netlist_once_per_constant_and_spot_check_run(monkeypatch):
+    # One run infers the key slices, one observes each of the 14
+    # constants, and one spot-checks them all: the four slices' 14 x 1000
+    # lanes fit in one run.  The slice groups are solved in forked
+    # workers, so the count lives in memory they share.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
     runs = multiprocessing.get_context("fork").Value("i", 0)
     original = PackedEvaluator.run
@@ -130,7 +134,60 @@ def test_extraction_runs_netlist_once_per_constant_and_slice(monkeypatch):
 
     monkeypatch.setattr(PackedEvaluator, "run", counting_run)
     rec = extract_constants(nl, seed=ATTACK_SEED)
-    assert runs.value == 1 + sum(len(row) for row in rec.R) + tmcm.N
+    assert sum(len(row) for row in rec.R) == 14
+    assert runs.value == 16
+
+
+def lane_values(port, width):
+    """Per-lane values of an evaluator port: lane masks, or an int held on every lane."""
+    if isinstance(port, int):
+        return np.full(width, port, dtype=np.uint64)
+    out = np.zeros(width, dtype=np.uint64)
+    for t, m in enumerate(port):
+        packed = np.frombuffer(m.to_bytes(-(-width // 8), "little"), dtype=np.uint8)
+        out |= np.unpackbits(packed, bitorder="little")[:width].astype(np.uint64) << np.uint64(t)
+    return out
+
+
+@pytest.mark.parametrize("samples", [8, 32])
+@pytest.mark.parametrize("lanes", [attack.SPOT_CHECK_LANES, 64], ids=["default-lanes", "64-lanes"])
+def test_spot_check_lanes_restate_per_slice_draws(monkeypatch, tmp_path, lanes, samples):
+    # Every spot-check lane's (i, k, x), as the evaluator receives it in
+    # the forked workers, is saved to a file.  Blocks of ``samples`` lanes
+    # must cover each (slice, value) pair exactly once, with x drawn from
+    # the slice's own generator, ``samples`` draws per value in value
+    # order, whichever runs the pairs share.
+    qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
+    monkeypatch.setattr(attack, "SPOT_CHECK_LANES", lanes)
+    original = PackedEvaluator.run
+
+    def recording_run(self, input_masks, width, out_bits=None):
+        if out_bits is None and not isinstance(input_masks["x"], int):
+            lanes_ikx = [lane_values(input_masks[name], width) for name in "ikx"]
+            np.save(tmp_path / f"{uuid.uuid4().hex}.npy", np.stack(lanes_ikx))
+        return original(self, input_masks, width, out_bits)
+
+    monkeypatch.setattr(PackedEvaluator, "run", recording_run)
+    rec = extract_constants(nl, samples=samples, seed=ATTACK_SEED)
+
+    covered = {}
+    for path in tmp_path.glob("*.npy"):
+        run_i, run_k, run_x = np.load(path)
+        assert run_x.size <= lanes or run_x.size == samples
+        for first in range(0, run_x.size, samples):
+            block = slice(first, first + samples)
+            pair = (int(run_i[first]), int(run_k[first]))
+            assert (run_i[block] == pair[0]).all() and (run_k[block] == pair[1]).all()
+            assert pair not in covered
+            covered[pair] = run_x[block].tolist()
+
+    expected = {}
+    for i, bits in enumerate(rec.slices):
+        rng = np.random.default_rng((ATTACK_SEED, i))
+        for v in range(1 << len(bits)):
+            k = sum(((v >> t) & 1) << pos for t, pos in enumerate(bits))
+            expected[(i, k)] = rng.integers(0, 1 << nl.meta["ibw"], size=samples, dtype=np.uint64).tolist()
+    assert covered == expected
 
 
 def test_spot_check_split_into_runs_per_value_passes_the_same_constants(monkeypatch):
@@ -217,8 +274,35 @@ def test_extraction_raises_first_failure_in_slice_order():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda i0, k0, k1: (OP_AND, i0, k1), "fails spot check for i=1, k=0x2"),
+        (lambda i0, k0, k1: (OP_MUX2, k0, k1, i0), "fails spot check for i=0, k=0x1"),
+    ],
+    ids=["slice-1", "both-slices"],
+)
+def test_shared_spot_check_run_raises_first_failure_in_slice_order(fault, message):
+    # Slices 0 and 1 have one key bit each, so their four constants share
+    # one spot-check run.  The top product bit is flipped when i = 1 and
+    # key bit 1 is set, and in the second case also when i = 0 and key
+    # bit 0 is set.  The low bits extraction observes stay intact, so only
+    # the shared run sees the faults, and it names the first in slice order.
+    tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5), (6, 7)), seed=0)
+    nl = lower_to_gates(tmcm)
+    (i0,), (k0, k1) = nl.inputs["i"], nl.inputs["k"]
+    gates, outputs = list(nl.gates), list(nl.outputs)
+    gates.append(fault(i0, k0, k1))
+    gates.append((OP_XOR, outputs[-1], nl.first_gate_id + len(gates) - 1))
+    outputs[-1] = nl.first_gate_id + len(gates) - 1
+    bad = GateNetlist(inputs=nl.inputs, outputs=outputs, gates=gates, meta=nl.meta)
+    bad.validate()
+    with pytest.raises(VerificationMismatch, match=message):
+        extract_constants(bad, samples=64)
+
+
 def test_extraction_parent_holds_no_spot_check_inputs():
-    # Each slice task draws its own spot-check inputs, so the parent's
+    # Each task draws its own spot-check inputs, so the parent's
     # memory does not grow with samples: 14 constants x 100k draws of
     # 8 bytes would be 11 MB.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)

@@ -587,6 +587,7 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
         (lambda d: d["gates"][5].update(a=d["n_nets"] - 1), "gate 5 references net"),
         (lambda d: d["outputs"].__setitem__(0, d["n_nets"]), "output references unknown net"),
         (lambda d: d.update(n_nets=d["n_nets"] + 1), "net count mismatch"),
+        (lambda d: d.update(n_nets=float(d["n_nets"])), "n_nets must be an integer, got "),
         (lambda d: d["inputs"]["x"].__setitem__(1, d["inputs"]["x"][0]),
          "input ports repeat net ids [39]"),
         (lambda d: d["inputs"]["k"].__setitem__(0, d["inputs"]["i"][0]),
@@ -603,8 +604,8 @@ def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys,
         (lambda d: d["inputs"].update(z=[]), "input ports must be exactly i, k and x; extra ports: z"),
     ],
     ids=["input-const", "input-past-gates", "operand-negative", "operand-later", "output-unknown",
-         "n-nets", "x-repeats-x", "k-repeats-i", "operand-float", "operand-bool", "input-float",
-         "input-bool", "output-float", "output-bool", "extra-port"],
+         "n-nets", "n-nets-float", "x-repeats-x", "k-repeats-i", "operand-float", "operand-bool",
+         "input-float", "input-bool", "output-float", "output-bool", "extra-port"],
 )
 def test_attack_malformed_netlist_structure_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)
