@@ -15,8 +15,9 @@ taps); the ZPFR of the taps' symmetric part is kept for plotting
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,9 +39,33 @@ VIOLATION_TOL = 1e-8
 # Frequencies, evenly spaced over [0, pi], of each key's exported curve.
 CURVE_POINTS = 257
 
-# Below this ball size the Hamming ball is enumerated outright, giving
-# exact uniform sampling without replacement.
+# Up to this ball size the keys are drawn as distinct ranks into the
+# ball's enumeration order (exact uniform sampling without replacement);
+# above it, by rejection.  The value picks the scheme, and so the keys.
 _ENUMERATION_LIMIT = 1 << 18
+
+
+def _unrank_combination(n: int, d: int, rank: int) -> int:
+    """Bit mask of the ``rank``-th d-subset of range(n) in `combinations` order."""
+    mask = 0
+    b = 0
+    for left in range(d, 0, -1):
+        # Of the subsets still in play, comb(n - b, left) - comb(n - c, left)
+        # take their next element below c, and all of them come earlier in
+        # the order: the next element is the largest c with at most rank
+        # of them (a binary search, so a whole ball unranks in d log n).
+        target = math.comb(n - b, left) - rank
+        lo, hi = b, n - left
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(n - mid, left) >= target:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= math.comb(n - b, left) - math.comb(n - lo, left)
+        mask |= 1 << lo
+        b = lo + 1
+    return mask
 
 
 def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> tuple:
@@ -56,12 +81,13 @@ def sample_wrong_keys(secret: SecretKey, count: int, max_hd: int, seed: int) -> 
         raise ValueError(f"only {total} keys exist within Hamming distance {max_hd}")
     rng = np.random.default_rng(seed)
     if total <= _ENUMERATION_LIMIT:
-        masks = []
-        for d in range(1, max_hd + 1):
-            for positions in combinations(range(p), d):
-                masks.append(sum(1 << b for b in positions))
-        chosen = rng.choice(len(masks), size=count, replace=False)
-        keys = [secret.bits ^ masks[m] for m in chosen]
+        # Rank r enumerates distance 1 first, then 2, ..., each distance
+        # in `combinations` order; only the chosen ranks are unranked.
+        starts = list(accumulate(sizes, initial=0))
+        keys = []
+        for r in rng.choice(total, size=count, replace=False).tolist():
+            d = bisect_right(starts, r)
+            keys.append(secret.bits ^ _unrank_combination(p, d, r - starts[d - 1]))
     else:
         weights = np.array(sizes, dtype=float) / total
         seen = set()
@@ -91,7 +117,9 @@ def effective_coefficients(tmcm: ObfuscatedTMCM, key) -> np.ndarray:
     """Taps realized under ``key``, probed through the step response.
 
     Equals ``tmcm_select`` per index for any key: the step makes output
-    j the running sum of the first j+1 selected constants.
+    j the running sum of the first j+1 selected constants.  Like
+    `simulate_filter`, a sequence of keys gives one row of taps per key
+    from one run.
     """
     y = simulate_filter(tmcm, key, np.ones(tmcm.N, dtype=np.int64))
     return np.diff(y, prepend=0)
@@ -173,8 +201,7 @@ def behavior_report(
     curve_rows = response_matrix(curve_w, M)
     scale = 1 << spec.Q
 
-    def audit(key, is_secret):
-        taps = effective_coefficients(tmcm, key)
+    def audit(key, is_secret, taps):
         mag_pass = np.abs(phase_pass @ (taps / scale))
         mag_stop = np.abs(phase_stop @ (taps / scale))
         pass_dev = float(np.max(np.abs(mag_pass - 1.0)))
@@ -193,7 +220,9 @@ def behavior_report(
             curve=curve_rows @ (sym[: M + 1] / scale),
         )
 
-    entries = [audit(secret.bits, True)] + [audit(k, False) for k in wrong_keys]
+    keys = [secret.bits, *wrong_keys]
+    taps = effective_coefficients(tmcm, keys)
+    entries = [audit(k, j == 0, row) for j, (k, row) in enumerate(zip(keys, taps))]
     wrong = entries[1:]
     fraction = float(np.mean([e.violates for e in wrong])) if wrong else 0.0
     return BehaviorReport(

@@ -179,9 +179,6 @@ class NetlistBuilder:
         self.inputs[name] = ids
         return ids
 
-    def const(self, value) -> int:
-        return CONST1 if value else CONST0
-
     def _emit(self, op: int, *operands) -> int:
         key = (op, *operands)
         nid = self._cache.get(key)
@@ -268,21 +265,16 @@ class NetlistBuilder:
         return nl
 
 
-def _constant_bits(b: NetlistBuilder, value: int, width: int) -> list:
-    """Two's-complement bits of a constant as net ids."""
-    mask = (1 << width) - 1
-    v = value & mask
-    return [b.const((v >> t) & 1) for t in range(width)]
-
-
 def _mux_tree(b: NetlistBuilder, entries: tuple, sel: tuple, memo: dict) -> int:
     """Binary select tree, LSB select bit switching adjacent entries.
 
     ``memo`` maps (entries, sel) to the tree's output net.  The builder
     hash-conses every gate, so a repeated subtree would emit nothing new
-    and return the same net; the memo only skips the walk.
+    and return the same net; the memo only skips the walk.  Equal
+    entries return their net at once: every MUX2 of their tree would
+    have equal inputs and emit nothing.
     """
-    if not sel:
+    if entries.count(entries[0]) == len(entries):
         return entries[0]
     key = (entries, sel)
     nid = memo.get(key)
@@ -343,11 +335,14 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
 
     memo = {}
     words = []
+    mask = (1 << tmcm.cbw) - 1
     for table, off, w in zip(tmcm.mux_tables, key_offsets(tmcm.key_widths), tmcm.key_widths):
         sel = tuple(k_bits[off : off + w])
-        leaf_words = [_constant_bits(b, c, tmcm.cbw) for c in table]
+        # Leaf bit t of every entry, two's complement; a bit's value is
+        # its net id (CONST0 = 0, CONST1 = 1).
+        masked = [c & mask for c in table]
         words.append(
-            [_mux_tree(b, tuple(lw[t] for lw in leaf_words), sel, memo) for t in range(tmcm.cbw)]
+            [_mux_tree(b, tuple((c >> t) & 1 for c in masked), sel, memo) for t in range(tmcm.cbw)]
         )
 
     zero_word = [CONST0] * tmcm.cbw

@@ -238,22 +238,33 @@ def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
     the output word (see `ObfuscatedTMCM`) is wide enough that partial
     sums never wrap.  Under the secret key this reproduces the exact
     transposed-form convolution.
+
+    ``key`` is one key (a `SecretKey` or key-bus int), giving one output
+    stream, or a sequence of keys, giving one row per key.  Every key
+    runs in the same loop, one filter per row of the slot array.
     """
-    N = tmcm.N
-    k = SecretKey(_key_bits(key), tmcm.key_widths)
-    consts = np.array([t[k.slice_value(i)] for i, t in enumerate(tmcm.mux_tables)], dtype=np.int64)
+    single = isinstance(key, (SecretKey, int, np.integer))
+    keys = [_key_bits(k) for k in ([key] if single else key)]
+    offsets = key_offsets(tmcm.key_widths)
+    consts = np.array(
+        [
+            [t[(bits >> off) & (len(t) - 1)] for t, off in zip(tmcm.mux_tables, offsets)]
+            for bits in keys
+        ],
+        dtype=np.int64,
+    ).reshape(len(keys), tmcm.N)  # an empty batch still has N columns
     half = 1 << (tmcm.ibw - 1)
     xs = np.asarray(inputs, dtype=np.int64)
     if len(xs) and (xs.max(initial=0) >= half or xs.min(initial=0) < -half):
         raise ValueError(f"inputs must fit in {tmcm.ibw} signed bits")
-    slots = np.zeros(N, dtype=np.int64)
-    out = np.empty(len(xs), dtype=np.int64)
+    slots = np.zeros_like(consts)
+    out = np.empty((len(keys), len(xs)), dtype=np.int64)
     for t, x in enumerate(xs):
         slots += consts * x          # the N multiply/accumulate cycles
-        out[t] = slots[0]            # TS: emit, then shift the line
-        slots[:-1] = slots[1:]
-        slots[-1] = 0
-    return out
+        out[:, t] = slots[:, 0]      # TS: emit, then shift the line
+        slots[:, :-1] = slots[:, 1:]
+        slots[:, -1] = 0
+    return out[0] if single else out
 
 
 def reference_convolution(coeffs, inputs) -> np.ndarray:

@@ -48,7 +48,8 @@ def emit_verilog(nl: GateNetlist, header: str = "") -> str:
     if CONST1 in used:
         wires.append("n1")
     wires += [f"n{nid}" for ids in nl.inputs.values() for nid in ids]
-    wires += [f"n{nl.first_gate_id + j}" for j in range(len(nl.gates))]
+    first = nl.first_gate_id
+    wires += [f"n{first + j}" for j in range(len(nl.gates))]
     lines += _wrap(wires)
 
     if CONST0 in used:
@@ -58,7 +59,6 @@ def emit_verilog(nl: GateNetlist, header: str = "") -> str:
     for port in _PORT_ORDER:
         for b, nid in enumerate(nl.inputs[port]):
             lines.append(f"  assign n{nid} = {port}[{b}];")
-    first = nl.first_gate_id
     for j, gate in enumerate(nl.gates):
         if gate[0] == OP_MUX2:
             _, a, b, s = gate

@@ -1,6 +1,7 @@
 """Wrong-key sampling, behavioral probing, spec-violation reporting."""
 
 import io
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from firlock.evaluate import (
     sample_wrong_keys,
     single_slice_corruptions,
 )
-from firlock.tmcm import build_tmcm, simulate_filter, tmcm_select
+from firlock.tmcm import SecretKey, build_tmcm, simulate_filter, tmcm_select
 
 from conftest import EVAL_SEED, make_quantized
 
@@ -48,6 +49,40 @@ def test_sample_ball_exhaustion_rejected(built):
     secret = built(1, DecoyMethod.HDRD).secret
     with pytest.raises(ValueError):
         sample_wrong_keys(secret, count=33, max_hd=1, seed=0)
+
+
+def _sample_by_enumeration(secret, count, max_hd, seed):
+    """Oracle: list every mask of the Hamming ball, distance 1 first and
+    each distance in `combinations` order, then draw ``count`` of them."""
+    masks = [
+        sum(1 << b for b in positions)
+        for d in range(1, max_hd + 1)
+        for positions in combinations(range(secret.p), d)
+    ]
+    chosen = np.random.default_rng(seed).choice(len(masks), size=count, replace=False)
+    return tuple(secret.bits ^ masks[m] for m in chosen)
+
+
+@pytest.mark.parametrize(
+    "widths, max_hd, count, seed",
+    [
+        ((2,) * 3 + (1,) * 26, 4, 50, EVAL_SEED),   # filter 1's layout at p = 32
+        ((2,) * 3 + (1,) * 26, 1, 32, 0),           # the whole distance-1 ball
+        ((2,) * 3 + (1,) * 26, 2, 528, 5),          # the whole distance-2 ball
+        ((2,) * 3 + (1,) * 26, 3, 1000, 11),
+        ((3, 4), 7, 127, 2),                        # every wrong key of p = 7
+        ((3, 4), 3, 20, 7),
+        ((5, 5, 5, 5), 3, 1350, 4),                 # the whole ball, p = 20
+        ((1,), 1, 1, 9),
+        ((0, 9, 0), 9, 0, 3),
+    ],
+)
+def test_sampling_equals_drawing_from_enumerated_ball(widths, max_hd, count, seed):
+    p = sum(widths)
+    secret = SecretKey(bits=0x9E3779B97F4A7C15 & ((1 << p) - 1), widths=widths)
+    assert sample_wrong_keys(secret, count, max_hd, seed) == _sample_by_enumeration(
+        secret, count, max_hd, seed
+    )
 
 
 def test_large_keyspace_rejection_path(built):
@@ -119,17 +154,19 @@ def test_report_correct_key_only(built):
 
 
 def test_report_simulates_each_key_once(built, monkeypatch):
+    # Counts keys, not calls: one call may simulate many keys.
     b = built(1, DecoyMethod.HDRD)
-    calls = []
+    simulated = []
 
-    def counting(*args):
-        calls.append(args[1])
-        return simulate_filter(*args)
+    def counting(tmcm, keys, inputs):
+        simulated.extend([keys] if isinstance(keys, int) else keys)
+        return simulate_filter(tmcm, keys, inputs)
 
     monkeypatch.setattr(firlock.evaluate, "simulate_filter", counting)
     keys = single_slice_corruptions(b.secret)[:5]
     report = behavior_report(b.tmcm, b.secret, b.design.spec, keys, curve_points=64)
-    assert len(calls) == len(report.entries) == 6
+    assert len(report.entries) == 6
+    assert sorted(simulated) == sorted([b.secret.bits, *keys])
     monkeypatch.undo()
     rows = response_matrix(report.curve_w, b.design.spec.M)
     scale = 1 << b.design.spec.Q

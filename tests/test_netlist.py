@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
+    CONST0,
+    CONST1,
     OP_AND,
     OP_MUX2,
     OP_NOT,
@@ -17,10 +19,11 @@ from firlock.netlist import (
     GateNetlist,
     NetlistBuilder,
     PackedEvaluator,
+    _signed_multiplier,
     lower_to_gates,
     pack_value_bits,
 )
-from firlock.tmcm import build_tmcm, tmcm_multiply
+from firlock.tmcm import build_tmcm, key_offsets, tmcm_multiply
 
 from conftest import make_quantized, small_tmcms
 
@@ -160,6 +163,67 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
     assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
     assert GateNetlist.from_json_dict(nl.to_json_dict()).gates == nl.gates
     assert nl.to_json_text({}) == json.dumps(nl.to_json_dict(), indent=2, sort_keys=True)
+
+
+def _lower_walking_every_leaf(tmcm):
+    """Oracle: the lowering with one builder call per constant leaf bit
+    and a full tree walk for every table bit, equal entries or not."""
+    b = NetlistBuilder()
+    i_bits = b.add_input("i", tmcm.select_width)
+    k_bits = b.add_input("k", tmcm.p)
+    x_bits = b.add_input("x", tmcm.ibw)
+
+    def const(bit):
+        return CONST1 if bit else CONST0
+
+    def mux_tree(entries, sel, memo):
+        if not sel:
+            return entries[0]
+        key = (entries, sel)
+        if key not in memo:
+            lo = mux_tree(entries[0::2], sel[1:], memo)
+            hi = mux_tree(entries[1::2], sel[1:], memo)
+            memo[key] = b.mux(lo, hi, sel[0])
+        return memo[key]
+
+    memo = {}
+    words = []
+    mask = (1 << tmcm.cbw) - 1
+    for table, off, w in zip(tmcm.mux_tables, key_offsets(tmcm.key_widths), tmcm.key_widths):
+        sel = tuple(k_bits[off : off + w])
+        leaf_words = [[const(((c & mask) >> t) & 1) for t in range(tmcm.cbw)] for c in table]
+        words.append(
+            [mux_tree(tuple(lw[t] for lw in leaf_words), sel, memo) for t in range(tmcm.cbw)]
+        )
+    padded = words + [[CONST0] * tmcm.cbw] * ((1 << tmcm.select_width) - tmcm.N)
+    selected = [
+        mux_tree(tuple(wd[t] for wd in padded), tuple(i_bits), memo) for t in range(tmcm.cbw)
+    ]
+    product = _signed_multiplier(b, selected, x_bits, tmcm.cbw + tmcm.ibw)
+    return b.build(product, meta={"N": tmcm.N, "cbw": tmcm.cbw, "ibw": tmcm.ibw, "p": tmcm.p})
+
+
+def _assert_same_netlist(got, expected):
+    assert got.gates == expected.gates
+    assert got.inputs == expected.inputs
+    assert got.outputs == expected.outputs
+    assert got.meta == expected.meta
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lowering_equals_per_leaf_walk_gate_for_gate(cbw_minus_ibw, data):
+    # Gate order is the artifact: the same gates in the same order, not
+    # just an equivalent circuit.
+    tmcm = data.draw(small_tmcms(cbw_minus_ibw))
+    _assert_same_netlist(lower_to_gates(tmcm), _lower_walking_every_leaf(tmcm))
+
+
+@pytest.mark.parametrize("dsm", list(DecoyMethod))
+def test_reference_lowering_equals_per_leaf_walk(built, dsm):
+    b = built(1, dsm)
+    _assert_same_netlist(b.netlist, _lower_walking_every_leaf(b.tmcm))
 
 
 def test_zero_input_gives_zero_product():

@@ -159,6 +159,41 @@ def test_simulation_matches_reference_convolution(small_build):
     assert np.array_equal(simulate_filter(tmcm, key, xs), reference_convolution(qf.coeffs, xs))
 
 
+def test_batched_rows_equal_single_key_runs(small_build):
+    # One run of the secret, every single-slice corruption and random
+    # keys: each row is that key's own stream and its own convolution.
+    from firlock.evaluate import single_slice_corruptions
+
+    _, _, tmcm, key = small_build
+    rng = np.random.default_rng(6)
+    keys = [
+        key,
+        *single_slice_corruptions(key),
+        *(int(k) for k in rng.integers(0, 1 << tmcm.p, size=20)),
+    ]
+    xs = rng.integers(-32, 32, size=60)
+    rows = simulate_filter(tmcm, keys, xs)
+    assert rows.shape == (len(keys), len(xs))
+    for k, row in zip(keys, rows):
+        taps = [tmcm_select(tmcm, i, k) for i in range(tmcm.N)]
+        assert np.array_equal(row, simulate_filter(tmcm, k, xs))
+        assert np.array_equal(row, reference_convolution(taps, xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_rows_equal_convolutions_of_selected_constants(data):
+    tmcm = data.draw(small_tmcms(1))
+    keys = data.draw(st.lists(st.integers(0, (1 << tmcm.p) - 1), max_size=6))
+    half = 1 << (tmcm.ibw - 1)
+    xs = data.draw(st.lists(st.integers(-half, half - 1), max_size=12))
+    rows = simulate_filter(tmcm, keys, xs)
+    assert rows.shape == (len(keys), len(xs))
+    for k, row in zip(keys, rows):
+        taps = [tmcm_select(tmcm, i, k) for i in range(tmcm.N)]
+        assert np.array_equal(row, reference_convolution(taps, xs))
+
+
 def test_wrong_keys_corrupt_step_stream(built):
     # 1000 sampled wrong keys plus every single-slice corruption: the
     # constant-1 step exposes each of them within the first N outputs.
