@@ -9,11 +9,15 @@ proceeds in stages:
    this is reliable);
 2. LSB-first constant extraction: product bit j depends only on bits
    0..j of the constant and of x, so one netlist run per constant, with
-   i and k held so that the evaluator skips the logic they decide,
-   observes every input the scan needs, and the bits are decided one at
-   a time by an exhaustive check over the free low bits of x -- the
-   desk-scale equivalent of proving a miter bit unsatisfiable; runs of
-   random inputs then spot-check the constants, consecutive key slices
+   i and k held, observes every input the scan needs.  The gates
+   between x and product bits 0..cbw-1 are the same in every such run,
+   so their cone is listed once, before the workers fork: each run
+   values the held nets feeding it with the pruned walk, which skips
+   the logic i and k decide, and then the cone in one pass.  The bits
+   are decided one at a time by an exhaustive check over the free low
+   bits of x -- the desk-scale equivalent of proving a miter bit
+   unsatisfiable; runs of random inputs, on the walk alone, then
+   spot-check the constants, consecutive key slices
    sharing a run while their constants fit (a slice too wide for one
    run takes several).  The key slices are independent, so forked
    workers, one per usable CPU, take one group of slices that share a
@@ -169,7 +173,9 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     One netlist run infers the key slices.  One run per constant, with
     i and k held, observes product bits 0..cbw-1 on
     x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads,
-    and `extract_bit` decides the bits.  Runs of at most
+    and `extract_bit` decides the bits.  These runs evaluate x's cone
+    into those bits (`PackedEvaluator.run_cone`), listed once here
+    before the workers fork.  Runs of at most
     `SPOT_CHECK_LANES` lanes then spot-check the constants, each on
     ``samples`` random full-width inputs: consecutive slices whose
     constants fit in one run share it, and a slice too wide for one run
@@ -191,6 +197,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     xs = np.arange(width, dtype=np.int64)
     xs_signed = _signed(xs, ibw)
     x_masks = pack_value_bits(xs, ibw)
+    cone = ev.cone("x", range(cbw))  # built before the fork, so every worker inherits it
 
     def solve_group(group) -> list:
         rows = []
@@ -200,7 +207,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
             rows.append(row)
             for v in range(1 << len(bits_i)):
                 k = _spread(v, bits_i)
-                observed = ev.run({"i": i, "k": k, "x": x_masks}, width, out_bits=range(cbw))
+                observed = ev.run_cone(cone, {"i": i, "k": k, "x": x_masks}, width)
                 partial = 0
                 try:
                     for j in range(cbw):

@@ -91,7 +91,7 @@ def _parse_netlist(doc):
         "ibw": (meta["ibw"], len(nl.inputs["x"]), "x input bits"),
         "cbw + ibw": (meta["cbw"] + meta["ibw"], len(nl.outputs), "output bits"),
         "clog2(N)": (tm.clog2(meta["N"]), len(nl.inputs["i"]), "i input bits"),
-        "p": (meta.get("p", k_bits), k_bits, "k input bits"),
+        "p": (fd.strict_int(meta.get("p", k_bits), "netlist meta p"), k_bits, "k input bits"),
     }
     for field, (want, got, what) in widths.items():
         if want != got:

@@ -11,7 +11,12 @@ Tuple order is also the fields' sorted order, which the text writer
 
 The evaluator packs many test vectors into one arbitrary-width Python
 integer per net (one bit per vector), so a single run evaluates
-thousands of input combinations.
+thousands of input combinations.  It reads each gate's op and operands
+from per-net lists built once per netlist.  A run either walks back
+from the requested outputs, skipping what held inputs leave unread, or,
+when one port varies and the others are held, values the held nets a
+precomputed cone of that port reads and then every gate of the cone in
+one pass in net-id order.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from firlock.design import strict_int
 from firlock.tmcm import ObfuscatedTMCM, key_offsets
 
 __all__ = [
+    "Cone",
     "GateNetlist",
     "NetlistBuilder",
     "PackedEvaluator",
@@ -376,6 +383,21 @@ def const_mask(bit: int, width: int) -> int:
     return ((1 << width) - 1) if bit else 0
 
 
+class Cone(NamedTuple):
+    """The gates between one varying port and some output bits.
+
+    ``steps`` lists, as ``(net, op, a, b, s)`` in net-id order, every
+    gate in the port's fan-out that the outputs read; ``boundary`` lists
+    the other gate nets those gates or the outputs read, which the held
+    ports alone decide; ``outputs`` are the requested output nets.  A
+    missing operand (``b`` of a NOT, ``s`` of all but MUX2) is CONST0.
+    """
+
+    boundary: tuple
+    steps: tuple
+    outputs: tuple
+
+
 class PackedEvaluator:
     """Bit-parallel netlist evaluation, pruned by the inputs it is given.
 
@@ -388,11 +410,31 @@ class PackedEvaluator:
     more.  Inputs held at one value on every lane, as the key and the
     select are during constant extraction, so leave most of the netlist
     unevaluated.
+
+    When one port varies and every other is held, as in each constant's
+    observation run, the gates between that port and the outputs are the
+    same in every run; only the held values feeding them change.
+    `cone` lists them once per (port, output bits), and `run_cone`
+    values the held nets that feed them with the pruned walk, then the
+    gates themselves in one pass in net-id order.  Evaluating all of
+    them is exact: the walk's pruning only skips results nothing reads.
     """
 
     def __init__(self, nl: GateNetlist):
         self.nl = nl
-        self._first = nl.first_gate_id
+        first = self._first = nl.first_gate_id
+        # The op and operands of the gate driving each net, by net id; a
+        # missing operand reads CONST0.
+        gates = nl.gates
+        pad = [CONST0] * first
+        self._op = [None] * first + [g[0] for g in gates]
+        self._a = pad + [g[1] for g in gates]
+        self._b = pad + [g[2] if len(g) > 2 else CONST0 for g in gates]
+        self._s = pad + [g[3] if len(g) > 3 else CONST0 for g in gates]
+        # Net values before a run sets its inputs: None marks a gate not
+        # evaluated yet, and inputs no port names read 0.
+        self._unset = [0] * first + [None] * len(gates)
+        self._cones = {}
 
     def run(self, input_masks: dict, width: int, out_bits=None):
         """Evaluate ``width`` lanes; ``input_masks`` maps port name to
@@ -403,77 +445,139 @@ class PackedEvaluator:
         bits) in the requested order.
         """
         nl = self.nl
-        mask = (1 << width) - 1
-        first = self._first
-        # None marks a gate not evaluated yet; inputs no port names read 0.
-        values = [0] * first + [None] * len(nl.gates)
-        values[CONST1] = mask
-        for name, ids in nl.inputs.items():
-            masks = input_masks[name]
-            if isinstance(masks, int):
-                masks = [const_mask((masks >> t) & 1, width) for t in range(len(ids))]
-            elif len(masks) != len(ids):
-                raise ValueError(f"port {name} expects {len(ids)} bit masks")
-            for nid, m in zip(ids, masks):
-                values[nid] = m
         if out_bits is None:
             outputs = list(nl.outputs)
         else:
             outputs = [nl.outputs[t] for t in out_bits]
-        gates = nl.gates
-        # Depth-first from the outputs: a gate stays on the stack until
-        # the operands it needs are known, and each gate is valued once.
-        stack = outputs[::-1]
+        values = self._inputs(input_masks, width)
+        self._walk(values, outputs, (1 << width) - 1)
+        return [values[nid] for nid in outputs]
+
+    def cone(self, port: str, out_bits) -> Cone:
+        """The `Cone` from ``port`` into output bits ``out_bits``, built
+        once per pair and evaluator."""
+        key = (port, tuple(out_bits))
+        cone = self._cones.get(key)
+        if cone is None:
+            cone = self._cones[key] = self._build_cone(*key)
+        return cone
+
+    def run_cone(self, cone: Cone, input_masks: dict, width: int):
+        """``run(input_masks, width, out_bits)`` for the ``cone(port, out_bits)``
+        of the one port ``input_masks`` does not hold."""
+        mask = (1 << width) - 1
+        values = self._inputs(input_masks, width)
+        self._walk(values, cone.boundary, mask)
+        for nid, op, a, b, s in cone.steps:
+            if op == OP_AND:
+                values[nid] = values[a] & values[b]
+            elif op == OP_XOR:
+                values[nid] = values[a] ^ values[b]
+            elif op == OP_OR:
+                values[nid] = values[a] | values[b]
+            elif op == OP_NOT:
+                values[nid] = values[a] ^ mask
+            else:
+                va = values[a]
+                values[nid] = va ^ ((va ^ values[b]) & values[s])
+        return [values[nid] for nid in cone.outputs]
+
+    def _build_cone(self, port: str, out_bits: tuple) -> Cone:
+        first, ops, A, B, S = self._first, self._op, self._a, self._b, self._s
+        n = len(ops)
+        varies = bytearray(n)
+        for nid in self.nl.inputs[port]:
+            varies[nid] = 1
+        for nid in range(first, n):
+            varies[nid] = varies[A[nid]] | varies[B[nid]] | varies[S[nid]]
+        outputs = tuple(self.nl.outputs[t] for t in out_bits)
+        needed = bytearray(n)
+        for nid in outputs:
+            needed[nid] = 1
+        for nid in range(n - 1, first - 1, -1):
+            if needed[nid] and varies[nid]:
+                needed[A[nid]] = needed[B[nid]] = needed[S[nid]] = 1
+        gates = [nid for nid in range(first, n) if needed[nid]]
+        return Cone(
+            boundary=tuple(nid for nid in gates if not varies[nid]),
+            steps=tuple((nid, ops[nid], A[nid], B[nid], S[nid]) for nid in gates if varies[nid]),
+            outputs=outputs,
+        )
+
+    def _inputs(self, input_masks: dict, width: int) -> list:
+        """Net values with the constants and ports set and no gate evaluated."""
+        mask = (1 << width) - 1
+        values = self._unset.copy()
+        values[CONST1] = mask
+        for name, ids in self.nl.inputs.items():
+            masks = input_masks[name]
+            if isinstance(masks, int):
+                masks = [mask if (masks >> t) & 1 else 0 for t in range(len(ids))]
+            elif len(masks) != len(ids):
+                raise ValueError(f"port {name} expects {len(ids)} bit masks")
+            for nid, m in zip(ids, masks):
+                values[nid] = m
+        return values
+
+    def _walk(self, values: list, targets, mask: int) -> None:
+        """Value ``targets`` and what they need, depth-first: a gate stays
+        on the stack until the operands it needs are known, and each gate
+        is valued once."""
+        ops, A, B, S = self._op, self._a, self._b, self._s
+        stack = list(reversed(targets))
         push = stack.append
         while stack:
             nid = stack[-1]
             if values[nid] is not None:
                 stack.pop()
                 continue
-            g = gates[nid - first]
-            op = g[0]
-            a = values[g[1]]
+            op = ops[nid]
+            ga = A[nid]
+            a = values[ga]
             if op == OP_AND or op == OP_OR:
                 absorbing = 0 if op == OP_AND else mask
-                b = values[g[2]]
+                gb = B[nid]
+                b = values[gb]
                 if a == absorbing or b == absorbing:
                     v = absorbing
                 elif a is None:
-                    push(g[1])
+                    push(ga)
                     continue
                 elif b is None:
-                    push(g[2])
+                    push(gb)
                     continue
                 else:
                     v = a & b if op == OP_AND else a | b
             elif op == OP_XOR:
-                b = values[g[2]]
+                gb = B[nid]
+                b = values[gb]
                 if a is None or b is None:
-                    stack += [n for n in g[1:] if values[n] is None]
+                    stack += [n for n in (ga, gb) if values[n] is None]
                     continue
                 v = a ^ b
             elif op == OP_NOT:
                 if a is None:
-                    push(g[1])
+                    push(ga)
                     continue
                 v = a ^ mask
             else:
-                s = values[g[3]]
+                gs = S[nid]
+                s = values[gs]
                 if s is None:
-                    push(g[3])
+                    push(gs)
                     continue
                 if s == 0 or s == mask:
-                    branch = g[1] if s == 0 else g[2]
+                    branch = ga if s == 0 else B[nid]
                     v = values[branch]
                     if v is None:
                         push(branch)
                         continue
                 else:
-                    b = values[g[2]]
+                    gb = B[nid]
+                    b = values[gb]
                     if a is None or b is None:
-                        stack += [n for n in g[1:3] if values[n] is None]
+                        stack += [n for n in (ga, gb) if values[n] is None]
                         continue
                     v = a ^ ((a ^ b) & s)
             values[nid] = v
             stack.pop()
-        return [values[nid] for nid in outputs]

@@ -121,21 +121,48 @@ def test_extraction_matches_ground_truth_multiset():
 def test_extraction_runs_netlist_once_per_constant_and_spot_check_run(monkeypatch):
     # One run infers the key slices, one observes each of the 14
     # constants, and one spot-checks them all: the four slices' 14 x 1000
-    # lanes fit in one run.  The slice groups are solved in forked
-    # workers, so the count lives in memory they share.
+    # lanes fit in one run.  Observation runs enter through `run_cone`,
+    # the others through `run`, so both are counted.  The slice groups
+    # are solved in forked workers, so the count lives in memory they
+    # share.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
     runs = multiprocessing.get_context("fork").Value("i", 0)
-    original = PackedEvaluator.run
 
-    def counting_run(self, *args, **kwargs):
-        with runs.get_lock():
-            runs.value += 1
-        return original(self, *args, **kwargs)
+    def counting(original):
+        def counted(self, *args, **kwargs):
+            with runs.get_lock():
+                runs.value += 1
+            return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(PackedEvaluator, "run", counting_run)
+        return counted
+
+    for name in ("run", "run_cone"):
+        monkeypatch.setattr(PackedEvaluator, name, counting(getattr(PackedEvaluator, name)))
     rec = extract_constants(nl, seed=ATTACK_SEED)
     assert sum(len(row) for row in rec.R) == 14
     assert runs.value == 16
+
+
+def test_extraction_builds_the_observation_cone_once_in_the_parent(monkeypatch):
+    # The cone is built before the fork and inherited, so no worker
+    # builds one: builds are counted in memory the workers share, with
+    # the pid of the process that built last.
+    qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
+    builds = multiprocessing.get_context("fork").Value("i", 0)
+    builder = multiprocessing.get_context("fork").Value("i", 0)
+    original = PackedEvaluator._build_cone
+
+    def counting_build(self, *args):
+        with builds.get_lock():
+            builds.value += 1
+            builder.value = os.getpid()
+        return original(self, *args)
+
+    monkeypatch.setattr(PackedEvaluator, "_build_cone", counting_build)
+    extract_constants(nl, seed=ATTACK_SEED)
+    assert (builds.value, builder.value) == (1, os.getpid())
+    extract_constants(nl, seed=ATTACK_SEED)
+    assert (builds.value, builder.value) == (2, os.getpid())
 
 
 def lane_values(port, width):

@@ -555,7 +555,9 @@ def test_negative_count_or_seed_names_option_exit_2(
 
 
 # Each edit leaves a netlist whose meta contradicts its ports (46 outputs,
-# 32 x bits, 5 i bits and 32 k bits at filter 1, p = 32).
+# 32 x bits, 5 i bits and 32 k bits at filter 1, p = 32) or is not an
+# integer, where a float p would pass as equal to the k bit count (and
+# true as one k bit).
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -566,8 +568,11 @@ def test_negative_count_or_seed_names_option_exit_2(
         (lambda d: d["meta"].update(ibw=31), "ibw = 31, but it has 32 x input bits"),
         (lambda d: d["meta"].update(N=40), "clog2(N) = 6, but it has 5 i input bits"),
         (lambda d: d["meta"].update(p=31), "p = 31, but it has 32 k input bits"),
+        (lambda d: d["meta"].update(p=32.0), "netlist meta p must be an integer, got 32.0"),
+        (lambda d: d["meta"].update(p=True), "netlist meta p must be an integer, got True"),
     ],
-    ids=["output-removed", "cbw-13", "cbw-0", "ibw-0", "ibw-31", "N-40", "p-31"],
+    ids=["output-removed", "cbw-13", "cbw-0", "ibw-0", "ibw-31", "N-40", "p-31", "p-float",
+         "p-bool"],
 )
 def test_attack_meta_contradicting_ports_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "netlist.json", tmp_path / "n.json", edit)

@@ -20,6 +20,7 @@ from firlock.netlist import (
     NetlistBuilder,
     PackedEvaluator,
     _signed_multiplier,
+    const_mask,
     lower_to_gates,
     pack_value_bits,
 )
@@ -134,10 +135,14 @@ def test_pruned_run_matches_linear_evaluation(cbw_minus_ibw, data):
 
 
 @st.composite
-def random_netlists(draw):
-    """Netlists built gate by gate, each gate reading only earlier nets."""
-    n_in = draw(st.integers(1, 4))
-    first = 2 + n_in
+def random_netlists(draw, ports="a"):
+    """Netlists built gate by gate, each gate reading only earlier nets;
+    each port (one per letter of ``ports``) has 1..4 input bits."""
+    inputs, first = {}, 2
+    for name in ports:
+        n_in = draw(st.integers(1, 4))
+        inputs[name] = list(range(first, first + n_in))
+        first += n_in
     gates = []
     for j in range(draw(st.integers(1, 24))):
         op = draw(st.integers(OP_AND, OP_MUX2))
@@ -145,7 +150,7 @@ def random_netlists(draw):
         net = st.integers(0, first + j - 1)
         gates.append((op, *draw(st.lists(net, min_size=arity, max_size=arity))))
     outputs = draw(st.lists(st.integers(0, first + len(gates) - 1), min_size=1, max_size=6))
-    return GateNetlist(inputs={"a": list(range(2, first))}, outputs=outputs, gates=gates)
+    return GateNetlist(inputs=inputs, outputs=outputs, gates=gates)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,6 +168,92 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
     assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
     assert GateNetlist.from_json_dict(nl.to_json_dict()).gates == nl.gates
     assert nl.to_json_text({}) == json.dumps(nl.to_json_dict(), indent=2, sort_keys=True)
+
+
+def assert_cone_runs_match_linear_evaluation(nl, data):
+    """`run_cone` with each port varying in turn and the others held at
+    random values, on random output bits in random order, against
+    `linear_run`."""
+    width = data.draw(st.integers(1, 64), label="width")
+    mask = (1 << width) - 1
+    ev = PackedEvaluator(nl)
+    for port, ids in nl.inputs.items():
+        held = {
+            name: data.draw(st.integers(0, (1 << len(bits)) - 1), label=f"held {name}")
+            for name, bits in nl.inputs.items()
+            if name != port
+        }
+        lanes = data.draw(st.lists(st.integers(0, mask), min_size=len(ids), max_size=len(ids)))
+        masks = {
+            name: [const_mask((v >> t) & 1, width) for t in range(len(nl.inputs[name]))]
+            for name, v in held.items()
+        }
+        expected = linear_run(nl, {**masks, port: lanes}, width)
+        order = data.draw(st.permutations(range(len(nl.outputs))), label="out_bits")
+        subset = order[: data.draw(st.integers(1, len(order)))]
+        got = ev.run_cone(ev.cone(port, subset), {**held, port: lanes}, width)
+        assert got == [expected[t] for t in subset]
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cone_run_matches_linear_evaluation(cbw_minus_ibw, data):
+    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    assert_cone_runs_match_linear_evaluation(nl, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cone_run_matches_linear_evaluation_on_random_netlists(data):
+    assert_cone_runs_match_linear_evaluation(data.draw(random_netlists("abc")), data)
+
+
+def test_cone_run_exact_where_x_feeds_a_mux_under_a_held_select():
+    # Net ids: s = 2, h = 3, x = 4..5.  The cone evaluates both MUX2
+    # data inputs' x side eagerly, whichever one the held select picks,
+    # and an AND/OR of x with a held absorbing value.
+    s, h, x0, x1 = 2, 3, 4, 5
+    gates = [
+        (OP_NOT, h),  # 6: held
+        (OP_MUX2, x0, 6, s),  # 7: x on data input a, held gate on b
+        (OP_MUX2, 6, x1, s),  # 8: held gate on a, x on b
+        (OP_AND, 7, h),  # 9: x behind a held AND input
+        (OP_OR, 8, h),  # 10: x behind a held OR input
+        (OP_XOR, 9, 10),  # 11
+        (OP_MUX2, h, 6, x0),  # 12: x as the select
+    ]
+    nl = GateNetlist(
+        inputs={"s": [s], "h": [h], "x": [x0, x1]}, outputs=[11, 7, 8, 6, 12, x1, 0], gates=gates
+    )
+    nl.validate()
+    lanes = pack_value_bits(np.arange(4), 2)  # every x on 4 lanes
+    ev = PackedEvaluator(nl)
+    cone = ev.cone("x", range(len(nl.outputs)))
+    assert {step[0] for step in cone.steps} == {7, 8, 9, 10, 11, 12} and cone.boundary == (6,)
+    for held_s in (0, 1):
+        for held_h in (0, 1):
+            masks = {"s": [const_mask(held_s, 4)], "h": [const_mask(held_h, 4)], "x": lanes}
+            got = ev.run_cone(cone, {"s": held_s, "h": held_h, "x": lanes}, 4)
+            assert got == linear_run(nl, masks, 4)
+
+
+def test_cone_built_once_per_port_output_bits_and_evaluator(monkeypatch):
+    nl = lower_to_gates(tiny_tmcm()[2])
+    built = []
+    original = PackedEvaluator._build_cone
+
+    def recording_build(self, *key):
+        built.append(key)
+        return original(self, *key)
+
+    monkeypatch.setattr(PackedEvaluator, "_build_cone", recording_build)
+    ev = PackedEvaluator(nl)
+    assert ev.cone("x", range(4)) is ev.cone("x", [0, 1, 2, 3])
+    ev.cone("x", [1, 0])
+    ev.cone("k", range(4))
+    PackedEvaluator(nl).cone("x", range(4))
+    assert built == [("x", (0, 1, 2, 3)), ("x", (1, 0)), ("k", (0, 1, 2, 3)), ("x", (0, 1, 2, 3))]
 
 
 def _lower_walking_every_leaf(tmcm):
