@@ -9,21 +9,18 @@ proceeds in stages:
    this is reliable);
 2. LSB-first constant extraction: product bit j depends only on bits
    0..j of the constant and of x, so one netlist run per constant, with
-   i and k held, observes every input the scan needs.  The gates
-   between x and product bits 0..cbw-1 are the same in every such run,
-   so their cone is listed once, before the workers fork: each run
-   values the held nets feeding it with the pruned walk, which skips
-   the logic i and k decide, and then the cone in one pass.  The bits
-   are decided one at a time by an exhaustive check over the free low
-   bits of x -- the desk-scale equivalent of proving a miter bit
-   unsatisfiable; runs of random inputs, on the walk alone, then
-   spot-check the constants, consecutive key slices
-   sharing a run while their constants fit (a slice too wide for one
-   run takes several).  The key slices are independent, so forked
-   workers, one per usable CPU, take one group of slices that share a
-   run each; a slice's random inputs come from its own generator,
-   seeded by the attack seed and the slice index, so the result does
-   not depend on the workers or on the grouping;
+   i and k held, observes every input the scan needs.  The bits are
+   decided one at a time by an exhaustive check over the free low bits
+   of x -- the desk-scale equivalent of proving a miter bit
+   unsatisfiable; runs of random inputs then spot-check the constants,
+   consecutive key slices sharing a run while their constants fit (a
+   slice too wide for one run takes several).  Every run is a
+   `PackedEvaluator.run` on the one evaluator the attack builds.  The
+   key slices are independent, so forked workers, one per usable CPU,
+   take one group of slices that share a run each; a slice's random
+   inputs come from its own generator, seeded by the attack seed and
+   the slice index, so the result does not depend on the workers or on
+   the grouping;
 3. decoy-method classification from the extracted constant sets;
 4. hub-based coefficient recovery: a constant whose Hamming distance to
    every other extracted constant is minimal gives itself away.
@@ -76,24 +73,24 @@ class InconclusiveClassification(Exception):
     """Every constant set has two elements; no hub signal exists."""
 
 
-def infer_key_slices(nl: GateNetlist) -> list:
+def infer_key_slices(ev: PackedEvaluator) -> list:
     """Group key bits by the primary select value they influence.
 
-    Drives x = 1 in one netlist run of (p + 1) blocks of N lanes: lane
-    i of every block reads select i, block 0 holds the key at 0 and
-    block b + 1 sets key bit b alone.  Flipping a key bit changes the
-    selected constant (all table entries are distinct), so the lanes
-    where block b + 1 differs from block 0 identify the owner.  Raises
-    if a key bit feeds no lane or several, which would mean the netlist
-    is not a per-coefficient selector.
+    Drives x = 1 in one run of ``ev``'s netlist, (p + 1) blocks of N
+    lanes: lane i of every block reads select i, block 0 holds the key
+    at 0 and block b + 1 sets key bit b alone.  Flipping a key bit
+    changes the selected constant (all table entries are distinct), so
+    the lanes where block b + 1 differs from block 0 identify the owner.
+    Raises if a key bit feeds no lane or several, which would mean the
+    netlist is not a per-coefficient selector.
     """
-    meta = nl.meta
-    n, p = meta["N"], len(nl.inputs["k"])
+    nl = ev.nl
+    n, p = nl.meta["N"], len(nl.inputs["k"])
     width = (p + 1) * n
     block = (1 << n) - 1
     i_masks = pack_value_bits(np.arange(width, dtype=np.uint64) % np.uint64(n), len(nl.inputs["i"]))
     k_masks = [block << (n * (bit + 1)) for bit in range(p)]
-    out = PackedEvaluator(nl).run({"i": i_masks, "k": k_masks, "x": 1}, width)
+    out = ev.run({"i": i_masks, "k": k_masks, "x": 1}, width)
     every_block = ((1 << width) - 1) // block  # bit 0 of each block set
     diff = 0
     for m in out:
@@ -116,17 +113,18 @@ def extract_bit(observed_j: int, xs_signed, partial: int, j: int) -> int:
     are checked on the first 2**(j+1) lanes, every x with bits 0..j free
     (all lanes once j reaches ibw).  Setting bit j adds x << j to the
     product, which carries nothing into bit j, so candidate 1's bit j is
-    candidate 0's flipped where x is odd.  The checked lanes include
-    x = 1, so the two candidates always differ and at most one matches;
-    when neither does, the block is no constant multiplier and
-    `NoConsistentBit` is raised.
+    candidate 0's flipped where x is odd, which is on the odd lanes.
+    The checked lanes include x = 1, so the two candidates always differ
+    and at most one matches; when neither does, the block is no constant
+    multiplier and `NoConsistentBit` is raised.
     """
     xs = xs_signed[: 1 << (j + 1)]
-    observed = observed_j & ((1 << len(xs)) - 1)
+    lanes = (1 << len(xs)) - 1
+    observed = observed_j & lanes
     bit_j = pack_bits(((np.int64(partial) * xs) >> np.int64(j)) & np.int64(1))
     if bit_j == observed:
         return 0
-    if bit_j ^ pack_bits(xs & np.int64(1)) == observed:
+    if bit_j ^ (lanes // 3 << 1) == observed:  # 0b...1010 over 1 or an even number of lanes
         return 1
     raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
 
@@ -173,9 +171,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     One netlist run infers the key slices.  One run per constant, with
     i and k held, observes product bits 0..cbw-1 on
     x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads,
-    and `extract_bit` decides the bits.  These runs evaluate x's cone
-    into those bits (`PackedEvaluator.run_cone`), listed once here
-    before the workers fork.  Runs of at most
+    and `extract_bit` decides the bits.  Runs of at most
     `SPOT_CHECK_LANES` lanes then spot-check the constants, each on
     ``samples`` random full-width inputs: consecutive slices whose
     constants fit in one run share it, and a slice too wide for one run
@@ -183,21 +179,24 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     raised, as if every constant were spot-checked as soon as it was
     extracted.
 
-    The slices are independent, so `fork_map`'s workers solve one group
-    of slices that share a run each.  Slice i draws its spot-check
-    inputs from its own generator, seeded by ``(seed, i)``, so the
-    result does not depend on the worker count or on the grouping.
+    Every run is a `PackedEvaluator.run` on one evaluator, which reuses
+    a run's schedule for the next run that varies the same input bits
+    and reads the same outputs, as a group's observation runs do.  The
+    slices are independent, so `fork_map`'s workers, which inherit the
+    evaluator, solve one group of slices that share a run each.  Slice i
+    draws its spot-check inputs from its own generator, seeded by
+    ``(seed, i)``, so the result does not depend on the worker count or
+    on the grouping.
     """
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     if cbw + ibw > 63:
         raise ValueError("extraction verification uses 64-bit arithmetic; cbw + ibw must stay below 64")
     ev = PackedEvaluator(nl)
-    slices = tuple(tuple(s) for s in infer_key_slices(nl))
+    slices = tuple(tuple(s) for s in infer_key_slices(ev))
     width = 1 << min(cbw, ibw)
     xs = np.arange(width, dtype=np.int64)
     xs_signed = _signed(xs, ibw)
     x_masks = pack_value_bits(xs, ibw)
-    cone = ev.cone("x", range(cbw))  # built before the fork, so every worker inherits it
 
     def solve_group(group) -> list:
         rows = []
@@ -207,7 +206,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
             rows.append(row)
             for v in range(1 << len(bits_i)):
                 k = _spread(v, bits_i)
-                observed = ev.run_cone(cone, {"i": i, "k": k, "x": x_masks}, width)
+                observed = ev.run({"i": i, "k": k, "x": x_masks}, width, range(cbw))
                 partial = 0
                 try:
                     for j in range(cbw):

@@ -12,11 +12,10 @@ Tuple order is also the fields' sorted order, which the text writer
 The evaluator packs many test vectors into one arbitrary-width Python
 integer per net (one bit per vector), so a single run evaluates
 thousands of input combinations.  It reads each gate's op and operands
-from per-net lists built once per netlist.  A run either walks back
-from the requested outputs, skipping what held inputs leave unread, or,
-when one port varies and the others are held, values the held nets a
-precomputed cone of that port reads and then every gate of the cone in
-one pass in net-id order.
+from a per-net list built once per evaluator.  A run evaluates the gates
+that read a varying input bit in one pass in net-id order, and values
+the held logic they read by walking back from it, skipping what held
+inputs leave unread.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from firlock.design import strict_int
 from firlock.tmcm import ObfuscatedTMCM, key_offsets
 
 __all__ = [
-    "Cone",
     "GateNetlist",
     "NetlistBuilder",
     "PackedEvaluator",
@@ -383,58 +379,78 @@ def const_mask(bit: int, width: int) -> int:
     return ((1 << width) - 1) if bit else 0
 
 
-class Cone(NamedTuple):
-    """The gates between one varying port and some output bits.
+def _bit_rows(sets: list, n_bits: int) -> np.ndarray:
+    """One row of 64-bit words per int of ``sets``, bit t of the int at bit t."""
+    row_bytes = 8 * (n_bits // 64 + 1)
+    packed = b"".join([v.to_bytes(row_bytes, "little") for v in sets])
+    return np.frombuffer(packed, dtype="<u8").reshape(len(sets), -1)
 
-    ``steps`` lists, as ``(net, op, a, b, s)`` in net-id order, every
-    gate in the port's fan-out that the outputs read; ``boundary`` lists
-    the other gate nets those gates or the outputs read, which the held
-    ports alone decide; ``outputs`` are the requested output nets.  A
-    missing operand (``b`` of a NOT, ``s`` of all but MUX2) is CONST0.
-    """
 
-    boundary: tuple
-    steps: tuple
-    outputs: tuple
+def _sharing(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Which rows of `_bit_rows` share a bit with the int ``bits``."""
+    return (rows & _bit_rows([bits], 64 * rows.shape[1] - 1)).any(axis=1)
 
 
 class PackedEvaluator:
-    """Bit-parallel netlist evaluation, pruned by the inputs it is given.
+    """Bit-parallel netlist evaluation, scheduled by the inputs it is given.
 
     ``run`` takes per-input-bit lane masks, or an int for a port held
     at one value on every lane, and returns lane masks for the
-    requested output bits.  It works back from those bits and
-    evaluates a gate only when the result needs it: a MUX2 whose select
-    is all-0 or all-1 evaluates only the branch it picks, and an AND
-    with an all-0 operand (an OR with an all-1 one) evaluates nothing
-    more.  Inputs held at one value on every lane, as the key and the
-    select are during constant extraction, so leave most of the netlist
+    requested output bits.  An input bit whose mask is neither 0 nor
+    all ones varies.  The gates that read a varying bit, directly or
+    through other gates, and feed the requested outputs (the varying
+    bits' cone) are evaluated in one pass in net-id order.  Every other
+    gate they or the outputs read is held logic, one value on every
+    lane, and is valued by a walk back from it that evaluates a gate
+    only when the result needs it: a MUX2 whose select is all-0 or
+    all-1 evaluates only the branch it picks, and an AND with an all-0
+    operand (an OR with an all-1 one) evaluates nothing more.  Inputs
+    held at one value on every lane, as the key and the select are
+    during constant extraction, so leave most of the netlist
     unevaluated.
 
-    When one port varies and every other is held, as in each constant's
-    observation run, the gates between that port and the outputs are the
-    same in every run; only the held values feeding them change.
-    `cone` lists them once per (port, output bits), and `run_cone`
-    values the held nets that feed them with the pruned walk, then the
-    gates themselves in one pass in net-id order.  Evaluating all of
-    them is exact: the walk's pruning only skips results nothing reads.
+    That schedule depends only on the varying input bits and the
+    requested outputs.  The last one is kept, so consecutive runs that
+    share both build it once.  The input bits each net reads and the
+    output bits it feeds are listed once per evaluator, so a schedule is
+    picked with numpy, and Python visits only the gates it lists.
     """
 
     def __init__(self, nl: GateNetlist):
         self.nl = nl
         first = self._first = nl.first_gate_id
-        # The op and operands of the gate driving each net, by net id; a
+        # The gate driving each net, as (net, op, a, b, s) by net id; a
         # missing operand reads CONST0.
         gates = nl.gates
+        n = first + len(gates)
         pad = [CONST0] * first
-        self._op = [None] * first + [g[0] for g in gates]
-        self._a = pad + [g[1] for g in gates]
-        self._b = pad + [g[2] if len(g) > 2 else CONST0 for g in gates]
-        self._s = pad + [g[3] if len(g) > 3 else CONST0 for g in gates]
+        A = pad + [g[1] for g in gates]
+        B = pad + [g[2] if len(g) > 2 else CONST0 for g in gates]
+        S = pad + [g[3] if len(g) > 3 else CONST0 for g in gates]
+        ops = [g[0] for g in gates]
+        self._gates = [None] * first + list(zip(range(first, n), ops, A[first:], B[first:], S[first:]))
         # Net values before a run sets its inputs: None marks a gate not
         # evaluated yet, and inputs no port names read 0.
         self._unset = [0] * first + [None] * len(gates)
-        self._cones = {}
+        # What a schedule is picked from: each gate's operands, the input
+        # bits each net reads (bit t for input net t + 2) and the output
+        # bits each net feeds (bit t for nl.outputs[t]).
+        self._operands = np.array([A, B, S], dtype=np.int64)
+        reads = [0] * 2 + [1 << t for t in range(first - 2)]
+        for nid in range(first, n):
+            reads.append(reads[A[nid]] | reads[B[nid]] | reads[S[nid]])
+        feeds = [0] * n
+        for t, nid in enumerate(nl.outputs):
+            feeds[nid] |= 1 << t
+        for nid in range(n - 1, first - 1, -1):
+            bits = feeds[nid]
+            if bits:
+                feeds[A[nid]] |= bits
+                feeds[B[nid]] |= bits
+                feeds[S[nid]] |= bits
+        self._reads = _bit_rows(reads, first - 2)
+        self._feeds = _bit_rows(feeds, len(nl.outputs))
+        self._key = self._schedule = None
 
     def run(self, input_masks: dict, width: int, out_bits=None):
         """Evaluate ``width`` lanes; ``input_masks`` maps port name to
@@ -444,31 +460,16 @@ class PackedEvaluator:
         Returns the lane masks of ``out_bits`` (default: all output
         bits) in the requested order.
         """
-        nl = self.nl
         if out_bits is None:
-            outputs = list(nl.outputs)
-        else:
-            outputs = [nl.outputs[t] for t in out_bits]
-        values = self._inputs(input_masks, width)
-        self._walk(values, outputs, (1 << width) - 1)
-        return [values[nid] for nid in outputs]
-
-    def cone(self, port: str, out_bits) -> Cone:
-        """The `Cone` from ``port`` into output bits ``out_bits``, built
-        once per pair and evaluator."""
-        key = (port, tuple(out_bits))
-        cone = self._cones.get(key)
-        if cone is None:
-            cone = self._cones[key] = self._build_cone(*key)
-        return cone
-
-    def run_cone(self, cone: Cone, input_masks: dict, width: int):
-        """``run(input_masks, width, out_bits)`` for the ``cone(port, out_bits)``
-        of the one port ``input_masks`` does not hold."""
+            out_bits = range(len(self.nl.outputs))
         mask = (1 << width) - 1
-        values = self._inputs(input_masks, width)
-        self._walk(values, cone.boundary, mask)
-        for nid, op, a, b, s in cone.steps:
+        values, varying = self._inputs(input_masks, mask)
+        key = (varying, tuple(out_bits))
+        if key != self._key:
+            self._key, self._schedule = key, self._build_schedule(*key)
+        held, steps, outputs = self._schedule
+        self._walk(values, held, mask)
+        for nid, op, a, b, s in steps:
             if op == OP_AND:
                 values[nid] = values[a] & values[b]
             elif op == OP_XOR:
@@ -480,35 +481,32 @@ class PackedEvaluator:
             else:
                 va = values[a]
                 values[nid] = va ^ ((va ^ values[b]) & values[s])
-        return [values[nid] for nid in cone.outputs]
+        return [values[nid] for nid in outputs]
 
-    def _build_cone(self, port: str, out_bits: tuple) -> Cone:
-        first, ops, A, B, S = self._first, self._op, self._a, self._b, self._s
-        n = len(ops)
-        varies = bytearray(n)
-        for nid in self.nl.inputs[port]:
-            varies[nid] = 1
-        for nid in range(first, n):
-            varies[nid] = varies[A[nid]] | varies[B[nid]] | varies[S[nid]]
-        outputs = tuple(self.nl.outputs[t] for t in out_bits)
-        needed = bytearray(n)
-        for nid in outputs:
-            needed[nid] = 1
-        for nid in range(n - 1, first - 1, -1):
-            if needed[nid] and varies[nid]:
-                needed[A[nid]] = needed[B[nid]] = needed[S[nid]] = 1
-        gates = [nid for nid in range(first, n) if needed[nid]]
-        return Cone(
-            boundary=tuple(nid for nid in gates if not varies[nid]),
-            steps=tuple((nid, ops[nid], A[nid], B[nid], S[nid]) for nid in gates if varies[nid]),
-            outputs=outputs,
-        )
+    def _build_schedule(self, varying: int, out_bits: tuple):
+        """``(held, steps, outputs)`` for runs whose varying input bits
+        are ``varying`` (bit t for net t + 2), reading ``out_bits``.
 
-    def _inputs(self, input_masks: dict, width: int) -> list:
-        """Net values with the constants and ports set and no gate evaluated."""
-        mask = (1 << width) - 1
+        ``steps`` lists, as ``(net, op, a, b, s)`` in net-id order, every
+        gate that reads a varying bit and feeds a requested output bit;
+        ``held`` lists, in net-id order, the other gates those steps or
+        the ``outputs`` (the requested output nets) read.
+        """
+        first, all_outputs = self._first, self.nl.outputs
+        outputs = [all_outputs[t] for t in out_bits]
+        varies = _sharing(self._reads, varying)
+        feeds = _sharing(self._feeds, sum(1 << (t % len(all_outputs)) for t in set(out_bits)))
+        nets = np.flatnonzero(varies[first:] & feeds[first:]) + first
+        read = np.concatenate([self._operands[:, nets].ravel(), outputs]).astype(np.int64)
+        held = np.unique(read[(read >= first) & ~varies[read]])
+        return held.tolist(), [self._gates[nid] for nid in nets.tolist()], outputs
+
+    def _inputs(self, input_masks: dict, mask: int):
+        """Net values with the constants and ports set and no gate
+        evaluated, and the varying input bits (bit t for net t + 2)."""
         values = self._unset.copy()
         values[CONST1] = mask
+        varying = 0
         for name, ids in self.nl.inputs.items():
             masks = input_masks[name]
             if isinstance(masks, int):
@@ -517,13 +515,15 @@ class PackedEvaluator:
                 raise ValueError(f"port {name} expects {len(ids)} bit masks")
             for nid, m in zip(ids, masks):
                 values[nid] = m
-        return values
+                if m and m != mask:
+                    varying |= 1 << (nid - 2)
+        return values, varying
 
     def _walk(self, values: list, targets, mask: int) -> None:
         """Value ``targets`` and what they need, depth-first: a gate stays
         on the stack until the operands it needs are known, and each gate
         is valued once."""
-        ops, A, B, S = self._op, self._a, self._b, self._s
+        gates = self._gates
         stack = list(reversed(targets))
         push = stack.append
         while stack:
@@ -531,12 +531,10 @@ class PackedEvaluator:
             if values[nid] is not None:
                 stack.pop()
                 continue
-            op = ops[nid]
-            ga = A[nid]
+            _, op, ga, gb, gs = gates[nid]
             a = values[ga]
             if op == OP_AND or op == OP_OR:
                 absorbing = 0 if op == OP_AND else mask
-                gb = B[nid]
                 b = values[gb]
                 if a == absorbing or b == absorbing:
                     v = absorbing
@@ -549,7 +547,6 @@ class PackedEvaluator:
                 else:
                     v = a & b if op == OP_AND else a | b
             elif op == OP_XOR:
-                gb = B[nid]
                 b = values[gb]
                 if a is None or b is None:
                     stack += [n for n in (ga, gb) if values[n] is None]
@@ -561,19 +558,17 @@ class PackedEvaluator:
                     continue
                 v = a ^ mask
             else:
-                gs = S[nid]
                 s = values[gs]
                 if s is None:
                     push(gs)
                     continue
                 if s == 0 or s == mask:
-                    branch = ga if s == 0 else B[nid]
+                    branch = ga if s == 0 else gb
                     v = values[branch]
                     if v is None:
                         push(branch)
                         continue
                 else:
-                    gb = B[nid]
                     b = values[gb]
                     if a is None or b is None:
                         stack += [n for n in (ga, gb) if values[n] is None]

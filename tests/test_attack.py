@@ -55,7 +55,7 @@ def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):
 
 def test_infer_key_slices_matches_builder_layout(built):
     b = built(1, DecoyMethod.HDRD)
-    slices = infer_key_slices(b.netlist)
+    slices = infer_key_slices(PackedEvaluator(b.netlist))
     offsets = np.cumsum((0,) + b.tmcm.key_widths[:-1])
     expected = [
         list(range(off, off + w)) for off, w in zip(offsets, b.tmcm.key_widths)
@@ -121,48 +121,57 @@ def test_extraction_matches_ground_truth_multiset():
 def test_extraction_runs_netlist_once_per_constant_and_spot_check_run(monkeypatch):
     # One run infers the key slices, one observes each of the 14
     # constants, and one spot-checks them all: the four slices' 14 x 1000
-    # lanes fit in one run.  Observation runs enter through `run_cone`,
-    # the others through `run`, so both are counted.  The slice groups
-    # are solved in forked workers, so the count lives in memory they
-    # share.
+    # lanes fit in one run.  The slice groups are solved in forked
+    # workers, so the count lives in memory they share.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
     runs = multiprocessing.get_context("fork").Value("i", 0)
+    original = PackedEvaluator.run
 
-    def counting(original):
-        def counted(self, *args, **kwargs):
-            with runs.get_lock():
-                runs.value += 1
-            return original(self, *args, **kwargs)
+    def counting_run(self, *args, **kwargs):
+        with runs.get_lock():
+            runs.value += 1
+        return original(self, *args, **kwargs)
 
-        return counted
-
-    for name in ("run", "run_cone"):
-        monkeypatch.setattr(PackedEvaluator, name, counting(getattr(PackedEvaluator, name)))
+    monkeypatch.setattr(PackedEvaluator, "run", counting_run)
     rec = extract_constants(nl, seed=ATTACK_SEED)
     assert sum(len(row) for row in rec.R) == 14
     assert runs.value == 16
 
 
-def test_extraction_builds_the_observation_cone_once_in_the_parent(monkeypatch):
-    # The cone is built before the fork and inherited, so no worker
-    # builds one: builds are counted in memory the workers share, with
-    # the pid of the process that built last.
+def test_observation_runs_of_a_slice_build_one_schedule(monkeypatch, tmp_path):
+    # With one value per spot-check run every slice is a group of its
+    # own, so its observation runs follow a spot-check run or the slice
+    # inference.  Each observation run appends "<i> <schedules built>" to
+    # one file, from whichever forked worker makes it; the runs of a
+    # slice must build one schedule between them.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
-    builds = multiprocessing.get_context("fork").Value("i", 0)
-    builder = multiprocessing.get_context("fork").Value("i", 0)
-    original = PackedEvaluator._build_cone
+    monkeypatch.setattr(attack, "SPOT_CHECK_LANES", 64)
+    log = os.open(tmp_path / "runs.txt", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    built = []
+    original_build, original_run = PackedEvaluator._build_schedule, PackedEvaluator.run
 
     def counting_build(self, *args):
-        with builds.get_lock():
-            builds.value += 1
-            builder.value = os.getpid()
-        return original(self, *args)
+        built.append(args)
+        return original_build(self, *args)
 
-    monkeypatch.setattr(PackedEvaluator, "_build_cone", counting_build)
-    extract_constants(nl, seed=ATTACK_SEED)
-    assert (builds.value, builder.value) == (1, os.getpid())
-    extract_constants(nl, seed=ATTACK_SEED)
-    assert (builds.value, builder.value) == (2, os.getpid())
+    def logging_run(self, input_masks, width, out_bits=None):
+        before = len(built)
+        result = original_run(self, input_masks, width, out_bits)
+        if out_bits is not None:
+            os.write(log, f"{input_masks['i']} {len(built) - before}\n".encode())
+        return result
+
+    monkeypatch.setattr(PackedEvaluator, "_build_schedule", counting_build)
+    monkeypatch.setattr(PackedEvaluator, "run", logging_run)
+    rec = extract_constants(nl, samples=64, seed=ATTACK_SEED)
+    os.close(log)
+    runs, builds = {}, {}
+    for line in (tmp_path / "runs.txt").read_text().splitlines():
+        i, n = map(int, line.split())
+        runs[i] = runs.get(i, 0) + 1
+        builds[i] = builds.get(i, 0) + n
+    assert runs == {i: len(row) for i, row in enumerate(rec.R)}
+    assert builds == {i: 1 for i in range(rec.N)}
 
 
 def lane_values(port, width):

@@ -171,19 +171,22 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
 
 
 def assert_cone_runs_match_linear_evaluation(nl, data):
-    """`run_cone` with each port varying in turn and the others held at
-    random values, on random output bits in random order, against
-    `linear_run`."""
+    """`run` on one evaluator with each port varying in turn and the
+    others held at random values, then with one port mixing held and
+    varying bits, on random output bits in random order, against
+    `linear_run`: each run's schedule is the cone of its varying bits."""
     width = data.draw(st.integers(1, 64), label="width")
     mask = (1 << width) - 1
     ev = PackedEvaluator(nl)
-    for port, ids in nl.inputs.items():
+
+    def check(port, lane):
         held = {
             name: data.draw(st.integers(0, (1 << len(bits)) - 1), label=f"held {name}")
             for name, bits in nl.inputs.items()
             if name != port
         }
-        lanes = data.draw(st.lists(st.integers(0, mask), min_size=len(ids), max_size=len(ids)))
+        n_bits = len(nl.inputs[port])
+        lanes = data.draw(st.lists(lane, min_size=n_bits, max_size=n_bits))
         masks = {
             name: [const_mask((v >> t) & 1, width) for t in range(len(nl.inputs[name]))]
             for name, v in held.items()
@@ -191,8 +194,12 @@ def assert_cone_runs_match_linear_evaluation(nl, data):
         expected = linear_run(nl, {**masks, port: lanes}, width)
         order = data.draw(st.permutations(range(len(nl.outputs))), label="out_bits")
         subset = order[: data.draw(st.integers(1, len(order)))]
-        got = ev.run_cone(ev.cone(port, subset), {**held, port: lanes}, width)
-        assert got == [expected[t] for t in subset]
+        assert ev.run({**held, port: lanes}, width, subset) == [expected[t] for t in subset]
+
+    for port in nl.inputs:
+        check(port, st.integers(0, mask))
+    port = data.draw(st.sampled_from(sorted(nl.inputs)), label="mixed port")
+    check(port, st.one_of(st.sampled_from([0, mask]), st.integers(0, mask)))
 
 
 @pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1])
@@ -210,7 +217,7 @@ def test_cone_run_matches_linear_evaluation_on_random_netlists(data):
 
 
 def test_cone_run_exact_where_x_feeds_a_mux_under_a_held_select():
-    # Net ids: s = 2, h = 3, x = 4..5.  The cone evaluates both MUX2
+    # Net ids: s = 2, h = 3, x = 4..5.  The schedule evaluates both MUX2
     # data inputs' x side eagerly, whichever one the held select picks,
     # and an AND/OR of x with a held absorbing value.
     s, h, x0, x1 = 2, 3, 4, 5
@@ -229,31 +236,34 @@ def test_cone_run_exact_where_x_feeds_a_mux_under_a_held_select():
     nl.validate()
     lanes = pack_value_bits(np.arange(4), 2)  # every x on 4 lanes
     ev = PackedEvaluator(nl)
-    cone = ev.cone("x", range(len(nl.outputs)))
-    assert {step[0] for step in cone.steps} == {7, 8, 9, 10, 11, 12} and cone.boundary == (6,)
     for held_s in (0, 1):
         for held_h in (0, 1):
             masks = {"s": [const_mask(held_s, 4)], "h": [const_mask(held_h, 4)], "x": lanes}
-            got = ev.run_cone(cone, {"s": held_s, "h": held_h, "x": lanes}, 4)
+            got = ev.run({"s": held_s, "h": held_h, "x": lanes}, 4)
             assert got == linear_run(nl, masks, 4)
+            held, steps, _ = ev._schedule
+            assert [step[0] for step in steps] == [7, 8, 9, 10, 11, 12] and held == [6]
 
 
-def test_cone_built_once_per_port_output_bits_and_evaluator(monkeypatch):
-    nl = lower_to_gates(tiny_tmcm()[2])
-    built = []
-    original = PackedEvaluator._build_cone
-
-    def recording_build(self, *key):
-        built.append(key)
-        return original(self, *key)
-
-    monkeypatch.setattr(PackedEvaluator, "_build_cone", recording_build)
+def test_schedule_reused_only_for_the_same_varying_bits_and_outputs():
+    # Two runs vary the same bits of x under different held i and k, so
+    # the second reuses the first's schedule; the third reads other
+    # output bits.  A schedule kept across a change of held values or
+    # output bits would give stale results.
+    tmcm = tiny_tmcm()[2]
+    nl = lower_to_gates(tmcm)
+    width = 1 << tmcm.ibw
+    x = pack_value_bits(np.arange(width), tmcm.ibw)
     ev = PackedEvaluator(nl)
-    assert ev.cone("x", range(4)) is ev.cone("x", [0, 1, 2, 3])
-    ev.cone("x", [1, 0])
-    ev.cone("k", range(4))
-    PackedEvaluator(nl).cone("x", range(4))
-    assert built == [("x", (0, 1, 2, 3)), ("x", (1, 0)), ("k", (0, 1, 2, 3)), ("x", (0, 1, 2, 3))]
+    for i, k, out_bits in ((0, 0, None), (2, 3, None), (1, 1, [3, 0, 5])):
+        held = {
+            port: [const_mask((v >> t) & 1, width) for t in range(len(nl.inputs[port]))]
+            for port, v in (("i", i), ("k", k))
+        }
+        expected = linear_run(nl, {**held, "x": x}, width)
+        if out_bits is not None:
+            expected = [expected[t] for t in out_bits]
+        assert ev.run({"i": i, "k": k, "x": x}, width, out_bits) == expected
 
 
 def _lower_walking_every_leaf(tmcm):
