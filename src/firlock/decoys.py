@@ -198,8 +198,10 @@ def assign_decoys(
     cands = []
     for i, h_i in enumerate(coeffs):
         c = candidate_set(h_i, int(qf.bounds_l[i]), int(qf.bounds_u[i]), qf.mbw)
-        need = (1 << visits[i]) - 1
-        if need > c.size:
+        # Bit lengths first: a huge p would ask for an int of p // N bits.
+        v = visits[i]
+        if v > c.size.bit_length() or (1 << v) - 1 > c.size:
+            need = (1 << v) - 1 if v < 64 else f"2**{v} - 1"
             raise InsufficientCandidates(
                 f"p={p} gives coefficient {i} {need} decoys but only {c.size} candidates exist"
             )

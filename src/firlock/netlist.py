@@ -9,6 +9,10 @@ operand nets, in tuple order, under the fields ``a`` (every op), ``b``
 Tuple order is also the fields' sorted order, which the text writer
 (`GateNetlist.to_json_text`) relies on.
 
+Lowering makes each bit of a key table one int truth table, entries in
+bit-reversed key-slice order, so each MUX2 tree level splits an int in
+halves; the gates are those of a tree walked over the entries.
+
 The evaluator packs many test vectors into one arbitrary-width Python
 integer per net (one bit per vector), so a single run evaluates
 thousands of input combinations.  It reads each gate's op and operands
@@ -187,7 +191,7 @@ class NetlistBuilder:
         nid = self._cache.get(key)
         if nid is None:
             nid = 2 + self._n_inputs + len(self.gates)
-            self.gates.append((op, *operands))
+            self.gates.append(key)
             self._cache[key] = nid
         return nid
 
@@ -268,22 +272,33 @@ class NetlistBuilder:
         return nl
 
 
-def _mux_tree(b: NetlistBuilder, entries: tuple, sel: tuple, memo: dict) -> int:
-    """Binary select tree, LSB select bit switching adjacent entries.
+def _mux_tree(b: NetlistBuilder, entries: tuple, sel: tuple) -> int:
+    """Binary select tree over nets, LSB select bit switching adjacent entries.
 
-    ``memo`` maps (entries, sel) to the tree's output net.  The builder
-    hash-conses every gate, so a repeated subtree would emit nothing new
-    and return the same net; the memo only skips the walk.  Equal
-    entries return their net at once: every MUX2 of their tree would
-    have equal inputs and emit nothing.
+    Equal entries return their net at once: every MUX2 of their tree
+    would have equal inputs and emit nothing.
     """
     if entries.count(entries[0]) == len(entries):
         return entries[0]
-    key = (entries, sel)
+    lo = _mux_tree(b, entries[0::2], sel[1:])
+    hi = _mux_tree(b, entries[1::2], sel[1:])
+    return b.mux(lo, hi, sel[0])
+
+
+def _table_tree(b: NetlistBuilder, plane: int, n: int, sel: tuple, memo: dict) -> int:
+    """`_mux_tree`'s gates over ``plane``, an ``n``-leaf truth table neither
+    all 0 nor all 1 whose bit j is the entry with j's log2(n) bits reversed,
+    so the LSB select's cofactors are its halves.  ``memo`` maps
+    ``plane | 1 << n`` (which fixes the depth) to the net: one ``sel`` only.
+    """
+    key = plane | 1 << n
     nid = memo.get(key)
     if nid is None:
-        lo = _mux_tree(b, entries[0::2], sel[1:], memo)
-        hi = _mux_tree(b, entries[1::2], sel[1:], memo)
+        half = n >> 1
+        ones = (1 << half) - 1
+        lo, hi = plane & ones, plane >> half
+        lo = CONST1 if lo == ones else _table_tree(b, lo, half, sel[1:], memo) if lo else CONST0
+        hi = CONST1 if hi == ones else _table_tree(b, hi, half, sel[1:], memo) if hi else CONST0
         nid = memo[key] = b.mux(lo, hi, sel[0])
     return nid
 
@@ -336,24 +351,25 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
     k_bits = b.add_input("k", tmcm.p)
     x_bits = b.add_input("x", tmcm.ibw)
 
-    memo = {}
-    words = []
-    mask = (1 << tmcm.cbw) - 1
-    for table, off, w in zip(tmcm.mux_tables, key_offsets(tmcm.key_widths), tmcm.key_widths):
-        sel = tuple(k_bits[off : off + w])
-        # Leaf bit t of every entry, two's complement; a bit's value is
-        # its net id (CONST0 = 0, CONST1 = 1).
-        masked = [c & mask for c in table]
+    # The tables' entries in `_table_tree`'s leaf order (reversing the axes
+    # of a table shaped (2,) * w reverses each index's bits), one table
+    # after another: a table's bit plane t is a slice of column t.
+    leaves = [np.reshape(t, (2,) * w).T.ravel() for t, w in zip(tmcm.mux_tables, tmcm.key_widths)]
+    columns = pack_value_bits(np.concatenate(leaves) & ((1 << tmcm.cbw) - 1), tmcm.cbw)
+    words, start = [], 0
+    for off, w in zip(key_offsets(tmcm.key_widths), tmcm.key_widths):
+        # A memo per table: key slices are disjoint, so tables share no subtree.
+        sel, n, memo = tuple(k_bits[off : off + w]), 1 << w, {}
+        ones = (1 << n) - 1
+        planes = [(column >> start) & ones for column in columns]
         words.append(
-            [_mux_tree(b, tuple((c >> t) & 1 for c in masked), sel, memo) for t in range(tmcm.cbw)]
+            [CONST1 if t == ones else _table_tree(b, t, n, sel, memo) if t else CONST0 for t in planes]
         )
+        start += n
 
     zero_word = [CONST0] * tmcm.cbw
     padded = words + [zero_word] * ((1 << tmcm.select_width) - tmcm.N)
-    i_sel = tuple(i_bits)
-    selected = [
-        _mux_tree(b, tuple(wd[t] for wd in padded), i_sel, memo) for t in range(tmcm.cbw)
-    ]
+    selected = [_mux_tree(b, tuple(wd[t] for wd in padded), tuple(i_bits)) for t in range(tmcm.cbw)]
 
     product = _signed_multiplier(b, selected, x_bits, tmcm.cbw + tmcm.ibw)
     return b.build(
@@ -410,10 +426,12 @@ class PackedEvaluator:
     unevaluated.
 
     That schedule depends only on the varying input bits and the
-    requested outputs.  The last one is kept, so consecutive runs that
-    share both build it once.  The input bits each net reads and the
-    output bits it feeds are listed once per evaluator, so a schedule is
-    picked with numpy, and Python visits only the gates it lists.
+    requested outputs.  The last one per tuple of requested outputs is
+    kept, so runs that vary the same bits and read the same outputs
+    build it once, even with runs reading other outputs between them.
+    The input bits each net reads and the output bits it feeds are
+    listed once per evaluator, so a schedule is picked with numpy, and
+    Python visits only the gates it lists.
     """
 
     def __init__(self, nl: GateNetlist):
@@ -450,7 +468,8 @@ class PackedEvaluator:
                 feeds[S[nid]] |= bits
         self._reads = _bit_rows(reads, first - 2)
         self._feeds = _bit_rows(feeds, len(nl.outputs))
-        self._key = self._schedule = None
+        # The last schedule per tuple of output bits, with its varying bits.
+        self._schedules = {}
 
     def run(self, input_masks: dict, width: int, out_bits=None):
         """Evaluate ``width`` lanes; ``input_masks`` maps port name to
@@ -464,10 +483,11 @@ class PackedEvaluator:
             out_bits = range(len(self.nl.outputs))
         mask = (1 << width) - 1
         values, varying = self._inputs(input_masks, mask)
-        key = (varying, tuple(out_bits))
-        if key != self._key:
-            self._key, self._schedule = key, self._build_schedule(*key)
-        held, steps, outputs = self._schedule
+        out_bits = tuple(out_bits)
+        kept = self._schedules.get(out_bits)
+        if kept is None or kept[0] != varying:
+            kept = self._schedules[out_bits] = varying, self._build_schedule(varying, out_bits)
+        held, steps, outputs = kept[1]
         self._walk(values, held, mask)
         for nid, op, a, b, s in steps:
             if op == OP_AND:

@@ -138,12 +138,13 @@ def test_extraction_runs_netlist_once_per_constant_and_spot_check_run(monkeypatc
     assert runs.value == 16
 
 
-def test_observation_runs_of_a_slice_build_one_schedule(monkeypatch, tmp_path):
+def test_observation_runs_build_one_schedule_per_worker(monkeypatch, tmp_path):
     # With one value per spot-check run every slice is a group of its
-    # own, so its observation runs follow a spot-check run or the slice
-    # inference.  Each observation run appends "<i> <schedules built>" to
-    # one file, from whichever forked worker makes it; the runs of a
-    # slice must build one schedule between them.
+    # own, so spot-check runs, which read every output bit, come between
+    # the observation runs of consecutive slices.  Each observation run
+    # appends "<pid> <i> <schedules built>" to one file, from whichever
+    # forked worker makes it; the runs of one worker must build one
+    # schedule between them.
     qf, da, tmcm, key, nl = build_small([30, -20, 50, -70], p=7, ibw=6)
     monkeypatch.setattr(attack, "SPOT_CHECK_LANES", 64)
     log = os.open(tmp_path / "runs.txt", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -158,7 +159,7 @@ def test_observation_runs_of_a_slice_build_one_schedule(monkeypatch, tmp_path):
         before = len(built)
         result = original_run(self, input_masks, width, out_bits)
         if out_bits is not None:
-            os.write(log, f"{input_masks['i']} {len(built) - before}\n".encode())
+            os.write(log, f"{os.getpid()} {input_masks['i']} {len(built) - before}\n".encode())
         return result
 
     monkeypatch.setattr(PackedEvaluator, "_build_schedule", counting_build)
@@ -167,11 +168,11 @@ def test_observation_runs_of_a_slice_build_one_schedule(monkeypatch, tmp_path):
     os.close(log)
     runs, builds = {}, {}
     for line in (tmp_path / "runs.txt").read_text().splitlines():
-        i, n = map(int, line.split())
+        pid, i, n = map(int, line.split())
         runs[i] = runs.get(i, 0) + 1
-        builds[i] = builds.get(i, 0) + n
+        builds[pid] = builds.get(pid, 0) + n
     assert runs == {i: len(row) for i, row in enumerate(rec.R)}
-    assert builds == {i: 1 for i in range(rec.N)}
+    assert set(builds.values()) == {1}
 
 
 def lane_values(port, width):

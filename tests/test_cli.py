@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,20 @@ def test_obfuscate_impossible_budget_exit_2(tmp_path, design_dir, capsys):
     ])
     assert rc == 2
     assert "candidates" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("p", [10**7, 10**12])
+def test_obfuscate_huge_budget_exit_2_at_once(tmp_path, design_dir, capsys, p):
+    # 2**(p // N) - 1 decoys per coefficient: an int too long to print at
+    # p = 10**7, and of about 4 GB at p = 10**12.
+    start = time.perf_counter()
+    rc = main([
+        "obfuscate", "--quant", str(design_dir / "filter1.quant.json"),
+        "--p", str(p), "--out", str(tmp_path),
+    ])
+    assert time.perf_counter() - start < 2
+    assert rc == 2
+    assert "candidates exist" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])

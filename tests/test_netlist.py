@@ -24,7 +24,7 @@ from firlock.netlist import (
     lower_to_gates,
     pack_value_bits,
 )
-from firlock.tmcm import build_tmcm, key_offsets, tmcm_multiply
+from firlock.tmcm import ObfuscatedTMCM, build_tmcm, key_offsets, tmcm_multiply
 
 from conftest import make_quantized, small_tmcms
 
@@ -241,7 +241,7 @@ def test_cone_run_exact_where_x_feeds_a_mux_under_a_held_select():
             masks = {"s": [const_mask(held_s, 4)], "h": [const_mask(held_h, 4)], "x": lanes}
             got = ev.run({"s": held_s, "h": held_h, "x": lanes}, 4)
             assert got == linear_run(nl, masks, 4)
-            held, steps, _ = ev._schedule
+            held, steps, _ = ev._schedules[tuple(range(len(nl.outputs)))][1]
             assert [step[0] for step in steps] == [7, 8, 9, 10, 11, 12] and held == [6]
 
 
@@ -264,6 +264,39 @@ def test_schedule_reused_only_for_the_same_varying_bits_and_outputs():
         if out_bits is not None:
             expected = [expected[t] for t in out_bits]
         assert ev.run({"i": i, "k": k, "x": x}, width, out_bits) == expected
+
+
+def test_schedule_kept_per_output_bits_until_the_varying_bits_change(monkeypatch):
+    # Any schedule gives exact results, so the builds are counted: a
+    # schedule is kept per tuple of output bits across runs that read
+    # other bits, and rebuilt when the varying bits change.
+    tmcm = tiny_tmcm()[2]
+    nl = lower_to_gates(tmcm)
+    width = 1 << tmcm.ibw
+    x = pack_value_bits(np.arange(width), tmcm.ibw)
+    k = pack_value_bits(np.arange(width) % (1 << tmcm.p), tmcm.p)
+    built = []
+    original = PackedEvaluator._build_schedule
+
+    def counting_build(self, *args):
+        built.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(PackedEvaluator, "_build_schedule", counting_build)
+    ev = PackedEvaluator(nl)
+    # (i, k, out_bits) with x varying, and the schedules built after the run.
+    runs = [(1, 2, None, 1), (1, 2, [0, 1, 2], 2), (0, 3, None, 2), (1, k, None, 3), (2, 1, [0, 1, 2], 3)]
+    for i, k_port, out_bits, builds in runs:
+        ports = {"i": i, "k": k_port, "x": x}
+        masks = {name: v for name, v in ports.items() if isinstance(v, list)}
+        for name, v in ports.items():
+            if isinstance(v, int):
+                masks[name] = [const_mask((v >> t) & 1, width) for t in range(len(nl.inputs[name]))]
+        expected = linear_run(nl, masks, width)
+        if out_bits is not None:
+            expected = [expected[t] for t in out_bits]
+        assert ev.run(ports, width, out_bits) == expected
+        assert len(built) == builds
 
 
 def _lower_walking_every_leaf(tmcm):
@@ -318,6 +351,30 @@ def test_lowering_equals_per_leaf_walk_gate_for_gate(cbw_minus_ibw, data):
     # Gate order is the artifact: the same gates in the same order, not
     # just an equivalent circuit.
     tmcm = data.draw(small_tmcms(cbw_minus_ibw))
+    _assert_same_netlist(lower_to_gates(tmcm), _lower_walking_every_leaf(tmcm))
+
+
+@st.composite
+def wide_tmcms(draw):
+    """TMCM blocks with key tables of 1 to 512 entries and cbw 1..12.
+
+    Each table's constants have a drawn number of magnitude bits, so the
+    bit planes above them are all 0 or all 1, and may repeat.
+    """
+    cbw = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for w in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)):
+        m = draw(st.integers(0, cbw - 1))
+        tables.append(tuple(rng.integers(-(1 << m), 1 << m, size=1 << w).tolist()))
+    return ObfuscatedTMCM(ibw=2, cbw=cbw, mux_tables=tuple(tables), seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tmcm=wide_tmcms())
+def test_wide_table_lowering_equals_per_leaf_walk_gate_for_gate(tmcm):
+    # The truth-table leaf order reverses the key slice's bits, which
+    # tables of 1 or 2 key bits cannot check for wider slices.
     _assert_same_netlist(lower_to_gates(tmcm), _lower_walking_every_leaf(tmcm))
 
 
