@@ -14,13 +14,19 @@ per coefficient minimize / maximize that coefficient over the same
 constraint set, yielding the feasible interval every tap must stay in.
 All real values are finally quantized to integers by ceiling after
 scaling with 2**Q.
+
+Every LP runs on a `_model` of scipy's private HiGHS extension, loaded
+without ``scipy.optimize`` (`_highs`), with the bits of scipy's `linprog`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -70,17 +76,6 @@ class InfeasibleSpec(Exception):
 
 class LPSolverError(RuntimeError):
     """The LP solver stopped without an optimum, or returned a point outside the constraints."""
-
-
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first solve.
-
-    Loading ``scipy.optimize`` takes most of ``import firlock``; the
-    stages that solve no LP (attack, evaluate) never pay for it.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
 
 
 def strict_int(value, field: str) -> int:
@@ -245,18 +240,95 @@ def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
     return A, b
 
 
-def _solve_lp(c, A, b, bounds, infeasible: str):
-    """Minimize ``c @ x`` subject to ``A x <= b`` and the variable box.
+def _highs():
+    """scipy's private HiGHS extension, loaded without ``scipy.optimize`` (46 MB, 0.4 s).
 
-    Raises `InfeasibleSpec` (with message ``infeasible``) when the
-    constraints admit no point, `LPSolverError` on any other solver failure.
+    It is entered in ``sys.modules`` under its full name, so later calls
+    and a later ``import scipy.optimize`` reuse this module object
+    instead of loading the extension again.
     """
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
-    if res.status == 2:
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        import scipy
+
+        found = PathFinder.find_spec("_core", [f"{scipy.__path__[0]}/optimize/_highspy"])
+        if found is None:
+            raise LPSolverError(f"scipy has no HiGHS extension {name}; firlock needs scipy>=1.17")
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def _csc(A):
+    """``indptr, indices, data`` of ``A``, as ``scipy.sparse.csc_array(A)`` makes them."""
+    cols, rows = np.nonzero(A.T)
+    indptr = np.searchsorted(cols, np.arange(A.shape[1] + 1)).astype(np.int32)
+    return indptr, rows.astype(np.int32), A[rows, cols]
+
+
+def _model(A, row_lower, row_upper, box, presolve: str, options=_LP_OPTIONS):
+    """A HiGHS model of ``row_lower <= A x <= row_upper``, ``box[0] <= x <= box[1]``, cost 0.
+
+    Built as `scipy.optimize.linprog` builds its model: the same CSC
+    arrays, and its options for method ``"highs"`` with ``options``.
+    """
+    highs = _highs()
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(A)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _csc(A)
+    lp.col_cost_ = np.zeros(A.shape[1])
+    lp.col_lower_, lp.col_upper_ = box
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    model = highs._Highs()
+    options = {
+        "presolve": presolve,
+        "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
+        "log_to_console": False,
+        "output_flag": False,
+        "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        **options,
+    }
+    for name, value in options.items():
+        if model.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise LPSolverError(f"HiGHS refused option {name}={value!r}")
+    if model.passModel(lp) == highs.HighsStatus.kError:
+        raise LPSolverError("HiGHS refused the LP model")
+    return model
+
+
+def _run(model, cost, basis=None):
+    """``model`` after a cold run (no basis or solution kept) at ``cost``, from ``basis`` if given."""
+    model.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+    model.clearSolver()
+    if basis is not None and model.setBasis(basis) == _highs().HighsStatus.kError:
+        raise LPSolverError("HiGHS refused the bound LP basis")
+    model.run()
+    return model
+
+
+def _solution(model, infeasible: str):
+    """The optimum of ``model``'s last run; else `InfeasibleSpec` (``infeasible``) or `LPSolverError`."""
+    status, statuses = model.getModelStatus(), _highs().HighsModelStatus
+    if status == statuses.kInfeasible:
         raise InfeasibleSpec(infeasible)
-    if res.status != 0:
-        raise LPSolverError(f"LP solver failed with status {res.status}: {res.message}")
-    return res
+    if status != statuses.kOptimal:
+        name = model.modelStatusToString(status)
+        raise LPSolverError(f"LP solver failed with HiGHS model status {int(status)}: {name}")
+    return model.getSolution()
+
+
+def linprog(c, A_ub, b_ub, bounds, method="highs", options=_LP_OPTIONS):
+    """`scipy.optimize.linprog`'s model for method ``"highs"``, after its run (see `_solution`).
+
+    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``, with the bits of scipy's solve.
+    It takes scipy's arguments; HiGHS is the only ``method``.
+    """
+    box = np.array(bounds, dtype=float).T
+    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "on", options), c)
 
 
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
@@ -268,18 +340,17 @@ def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficien
 
     Raises `InfeasibleSpec` if not even t = 0 is attainable.
     """
-    M = spec.M
     A, b = _band_rows(spec, grid)
     n_rows, n_h = A.shape
     A_lp = np.hstack([A, np.ones((n_rows, 1))])
     c = np.zeros(n_h + 1)
     c[-1] = -1.0
     bounds = [(-1.0, 1.0)] * n_h + [(0.0, min(spec.dp, spec.ds))]
-    res = _solve_lp(
-        c, A_lp, b, bounds,
+    solution = _solution(
+        linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS),
         f"no length-{spec.N} {spec.band_type} filter satisfies the spec on this grid",
     )
-    h = res.x[:n_h]
+    h = np.array(solution.col_value[:n_h])
     residual = float(np.max(A @ h - b))
     if residual > LP_RESIDUAL_TOL:
         raise LPSolverError(f"LP solution violates constraints by {residual:.3e}")
@@ -309,91 +380,40 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
 
     * the ranged model, one row ``lo <= R h <= hi`` per grid point with
       presolve off, only finds an optimal basis;
-    * the original model, built as `linprog` builds the same LP (the
-      same CSC matrix, row bounds and options), starts from that basis
-      mapped onto the row pairs.  HiGHS skips presolve when it is given
-      a basis, and from an optimal one it does what `linprog`'s run does
-      after postsolve, so every optimum has the bits of a `linprog` solve.
+    * the original model, the LP that `linprog` solves (presolve on),
+      starts from that basis mapped onto the row pairs.  HiGHS skips
+      presolve when it is given a basis, and from an optimal one it
+      does what a fresh run does after postsolve, so every optimum has
+      the bits of a `scipy.optimize.linprog` solve.
 
     A ranged row at its upper (lower) bound makes its upper (lower)
     half nonbasic at that half's upper bound, the other half basic; a
     basic ranged row makes both halves basic.  Columns keep their status.
-    Like `linprog`, a solve fails unless HiGHS reports an optimum whose
-    point meets the rows and the box to the feasibility tolerance.  No
-    public scipy API keeps a model between solves, hence the private
-    bindings.
+    Like scipy's `linprog`, a solve fails unless HiGHS reports an
+    optimum whose point meets the rows and the box to the feasibility
+    tolerance.
     """
-    from scipy.optimize._highspy import _core as highs
-    from scipy.sparse import csc_array
-
     R, lo, hi, upper, lower = _ranged_rows(spec, grid)
     A, b = _band_rows(spec, grid)
-    n = spec.M + 1
-
-    def model_of(matrix, row_lower, row_upper, presolve):
-        matrix = csc_array(matrix)
-        lp = highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
-        lp.col_cost_ = np.zeros(n)
-        lp.col_lower_ = np.full(n, -1.0)
-        lp.col_upper_ = np.full(n, 1.0)
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        model = highs._Highs()
-        options = {
-            "presolve": presolve,
-            "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
-            "log_to_console": False,
-            "output_flag": False,
-            "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-            **_LP_OPTIONS,
-        }
-        for name, value in options.items():
-            if model.setOptionValue(name, value) == highs.HighsStatus.kError:
-                raise LPSolverError(f"HiGHS refused option {name}={value!r}")
-        if model.passModel(lp) == highs.HighsStatus.kError:
-            raise LPSolverError("HiGHS refused the bound LP model")
-        return model
-
-    ranged = model_of(R, lo, hi, "off")
-    original = model_of(A, np.full(len(A), -highs.kHighsInf), b, "on")
-    cols = np.arange(n, dtype=np.int32)
-    S = highs.HighsBasisStatus
+    box = np.full(spec.M + 1, -1.0), np.full(spec.M + 1, 1.0)
+    ranged = _model(R, lo, hi, box, "off")
+    original = _model(A, np.full(len(A), -np.inf), b, box, "on")
+    S = _highs().HighsBasisStatus
     by_code = np.array(sorted(S.__members__.values(), key=int), dtype=object)
-
-    def run_cold(model, cost, basis=None):
-        model.changeColsCost(n, cols, cost)
-        model.clearSolver()
-        if basis is not None and model.setBasis(basis) == highs.HighsStatus.kError:
-            raise LPSolverError("HiGHS refused the bound LP basis")
-        model.run()
-        status = model.getModelStatus()
-        if status == highs.HighsModelStatus.kInfeasible:
-            raise InfeasibleSpec("bound LP infeasible; design the filter first")
-        if status != highs.HighsModelStatus.kOptimal:
-            raise LPSolverError(
-                f"LP solver failed with HiGHS model status {int(status)}: "
-                f"{model.modelStatusToString(status)}"
-            )
+    infeasible = "bound LP infeasible; design the filter first"
 
     def solve(task) -> float:
         i, sign = task
-        cost = np.zeros(n)
+        cost = np.zeros(spec.M + 1)
         cost[i] = sign
-        run_cold(ranged, cost)
+        _solution(_run(ranged, cost), infeasible)
         basis = ranged.getBasis()
         found = np.fromiter(map(int, basis.row_status), np.int8, len(R))
         rows = np.full(len(A), int(S.kBasic))
         rows[upper[found == int(S.kUpper)]] = int(S.kUpper)
         rows[lower[found == int(S.kLower)]] = int(S.kUpper)
         basis.row_status = by_code[rows].tolist()
-        run_cold(original, cost, basis)
-        solution = original.getSolution()
+        solution = _solution(_run(original, cost, basis), infeasible)
         violation = max(
             np.max(np.asarray(solution.row_value) - b), np.max(np.abs(solution.col_value)) - 1.0
         )
@@ -417,7 +437,7 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     inherits its own copies and solves all of its tasks on them.  Each
     LP finds its optimal basis on the ranged model (one row per grid
     point, half the rows, no presolve) and finishes on the original LP
-    from that basis, with the bits of a `linprog` solve; both start cold
+    from that basis, with the bits of scipy's `linprog`; both start cold
     for each LP.  Only the task ``(i, sign)`` and the optimum cross
     between the processes.
     """

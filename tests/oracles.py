@@ -1,8 +1,9 @@
 """Independent oracles the tests check the production paths against.
 
 Nothing in here shares code with the package: the simplex solver is a
-dense two-phase textbook tableau (the production design path uses HiGHS
-through scipy), the feasibility probe is plain lattice enumeration, and
+dense two-phase textbook tableau (production builds its HiGHS models on
+scipy's private ``_highspy._core`` extension, loaded without
+``scipy.optimize``), the feasibility probe is plain lattice enumeration, and
 the constant-recovery oracle inverts the netlist truth table outright.
 """
 

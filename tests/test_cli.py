@@ -111,6 +111,30 @@ def test_design_ranged_bound_lp_failure_exit_1(tmp_path, spec_file, capsys, monk
     assert not list(tmp_path.glob("filter1.*.json"))
 
 
+def test_design_lp_failure_in_parent_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    # Every model fails, the parent's design LP first.
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    monkeypatch.setattr(_Highs, "getModelStatus", lambda self: HighsModelStatus.kSolveError)
+    assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
+    assert _one_line_error(capsys) == "error: LP solver failed with HiGHS model status 4: Solve error\n"
+    assert not list(tmp_path.glob("filter1.*.json"))
+
+
+def test_design_without_highs_extension_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    from importlib.machinery import PathFinder
+
+    find_spec = PathFinder.find_spec
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(
+        PathFinder, "find_spec",
+        lambda name, path=None, target=None: None if name == "_core" else find_spec(name, path, target),
+    )
+    assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
+    assert "scipy has no HiGHS extension" in _one_line_error(capsys)
+    assert not list(tmp_path.glob("filter1.*.json"))
+
+
 def test_obfuscate_outputs(obfuscate_dir):
     key_hex = (obfuscate_dir / "key.hex").read_text().strip()
     assert len(key_hex) == 8 and key_hex == key_hex.lower()
@@ -330,6 +354,36 @@ def test_cli_import_leaves_out_scipy_stats(module):
     code = f"import sys, firlock.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _design_in_subprocess(cwd, spec_file, before, after):
+    # The same spec path and relative --out in both processes, so run_config matches.
+    code = (
+        f"import sys\n{before}\nfrom firlock.cli import main\n"
+        f"assert main(['design', '--spec', {str(spec_file)!r}, '--out', 'out']) == 0\n{after}\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
+    cwd.mkdir()
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True)
+    return {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}
+
+
+def test_design_runs_without_scipy_optimize_in_either_load_order(tmp_path, spec_file):
+    """Plain design loads neither scipy.optimize nor scipy.sparse, and a later
+    import reuses its HiGHS module; loaded first, scipy's module serves."""
+    artifacts = _design_in_subprocess(tmp_path / "plain", spec_file, (
+        "import firlock.design\ncore = firlock.design._highs()"
+    ), (
+        "assert 'scipy.optimize' not in sys.modules and 'scipy.sparse' not in sys.modules\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy._highs_wrapper import _h\n"
+        "assert _h is core and firlock.design._highs() is core\n"
+        "assert linprog([1.0], bounds=[(2.0, 3.0)]).x[0] == 2.0"
+    ))
+    assert sorted(artifacts) == ["filter1.float.json", "filter1.quant.json", "filter1.verify.json"]
+    assert _design_in_subprocess(tmp_path / "first", spec_file, "import scipy.optimize, firlock.design", (
+        "assert firlock.design._highs() is scipy.optimize._highspy._core"
+    )) == artifacts
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,9 @@ from firlock.design import (
     RealCoefficients,
     _band_rows,
     _bound_solver,
+    _LP_OPTIONS,
+    _csc,
     _ranged_rows,
-    _solve_lp,
     build_frequency_grid,
     coefficient_bounds,
     design_coefficients,
@@ -29,6 +30,15 @@ from firlock.design import (
 )
 
 from conftest import reference_spec
+
+
+def scipy_linprog(c, A, b, bounds):
+    """The optimum of scipy's own `linprog`, the bit oracle of firlock's HiGHS models."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS)
+    assert res.status == 0, res.message
+    return res
 
 
 def lowpass(N=3, wp=0.5, ws=0.6, dp=0.1, ds=0.1, Q=8, index=0):
@@ -145,6 +155,36 @@ def test_design_slack_spec_feasible():
     assert np.all(np.abs(h.h) <= 1 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "index, density", [(1, 16.0), (2, 16.0), (3, 4.0)], ids=["filter1", "filter2", "filter3-coarse"]
+)
+def test_design_lp_has_the_bits_of_scipy_linprog(index, density):
+    spec = reference_spec(index)
+    grid = build_frequency_grid(spec, density)
+    A, b = _band_rows(spec, grid)
+    n_rows, n_h = A.shape
+    c = np.zeros(n_h + 1)
+    c[-1] = -1.0
+    bounds = [(-1.0, 1.0)] * n_h + [(0.0, min(spec.dp, spec.ds))]
+    expected = scipy_linprog(c, np.hstack([A, np.ones((n_rows, 1))]), b, bounds).x[:n_h]
+    assert design_coefficients(spec, grid).h.tobytes() == expected.tobytes()
+
+
+def test_csc_arrays_are_those_of_scipy_csc_array():
+    """The models' matrices: column-major, rows ascending, exact zeros left out."""
+    from scipy.sparse import csc_array
+
+    spec = reference_spec(2)
+    A, _ = _band_rows(spec, build_frequency_grid(spec, 4.0))
+    zeros = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, 0.0], [0.0, -0.0, -3.0], [0.0, 0.0, 0.0]])
+    for matrix in (A, np.hstack([A, np.ones((len(A), 1))]), zeros):
+        expected = csc_array(matrix)
+        got = _csc(matrix)
+        for ours, theirs in zip(got, (expected.indptr, expected.indices, expected.data)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    assert len(got[2]) == 3
+
+
 def test_design_infeasible_spec_raises_and_lattice_agrees():
     spec = lowpass(N=3, wp=0.3, ws=0.5, dp=0.003, ds=0.003)
     grid = build_frequency_grid(spec)
@@ -211,9 +251,9 @@ def test_bounds_equal_one_by_one_solves_bit_for_bit(designed):
     for i in range(n):
         c = np.zeros(n)
         c[i] = 1.0
-        lower[i] = _solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+        lower[i] = scipy_linprog(c, A, b, [(-1.0, 1.0)] * n).fun
         c[i] = -1.0
-        upper[i] = -_solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+        upper[i] = -scipy_linprog(c, A, b, [(-1.0, 1.0)] * n).fun
     assert d.bounds.lower.tobytes() == lower.tobytes()
     assert d.bounds.upper.tobytes() == upper.tobytes()
 
@@ -304,7 +344,7 @@ def test_bound_optima_independent_of_history_and_worker_count(monkeypatch, index
     for j, (i, sign) in enumerate(tasks):
         c = np.zeros(n)
         c[i] = sign
-        expected[j] = _solve_lp(c, A, b, [(-1.0, 1.0)] * n, "infeasible").fun
+        expected[j] = scipy_linprog(c, A, b, [(-1.0, 1.0)] * n).fun
 
     solve = _bound_solver(spec, grid)
     shuffled = np.empty(len(tasks))
