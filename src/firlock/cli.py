@@ -16,6 +16,7 @@ from pathlib import Path
 
 from firlock import design as fd
 from firlock import decoys as dc
+from firlock import forkmap as fm
 from firlock import tmcm as tm
 from firlock import netlist as gn
 from firlock import verilog as vg
@@ -188,6 +189,7 @@ def cmd_obfuscate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     text = nl.to_json_text({"run_config": config})
     (out / "netlist.json").write_text(text + "\n", encoding="utf-8")
+    del text  # the netlist JSON and the Verilog are never held at once
     header = json.dumps(config, sort_keys=True)
     (out / "design.v").write_text(vg.emit_verilog(nl, header=f"config: {header}"), "utf-8")
     (out / "key.hex").write_text(key.to_hex() + "\n", "utf-8")
@@ -357,7 +359,7 @@ def main(argv=None) -> int:
     try:
         _check_non_negative(args)
         return args.func(args)
-    except (fd.InfeasibleSpec, fd.LPSolverError) as exc:
+    except (fd.InfeasibleSpec, fd.LPSolverError, fm.WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (atk.NoConsistentBit, atk.VerificationMismatch) as exc:

@@ -438,8 +438,8 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     LP finds its optimal basis on the ranged model (one row per grid
     point, half the rows, no presolve) and finishes on the original LP
     from that basis, with the bits of scipy's `linprog`; both start cold
-    for each LP.  Only the task ``(i, sign)`` and the optimum cross
-    between the processes.
+    for each LP.  Only the index of the task ``(i, sign)`` and the
+    optimum cross between the processes.
     """
     n = spec.M + 1
     tasks = [(i, sign) for i in range(n) for sign in (1, -1)]

@@ -173,6 +173,28 @@ class BehaviorReport:
         }
 
 
+# Rows of a band's DFT matrix computed per step, which bounds the
+# temporary that `np.outer` makes.
+_DFT_ROWS = 1024
+
+
+def _band_gains(w, taps):
+    """|H(e^jw)| of each row of ``taps``, one gemv per row.
+
+    The band's DFT matrix, ``np.exp(-1j * np.outer(w, range(N)))``, is
+    built in place a block of rows at a time and lives until the last
+    row is done.
+    """
+    n = np.arange(taps.shape[1])
+    phase = np.empty((len(w), len(n)), dtype=complex)
+    for r in range(0, len(w), _DFT_ROWS):
+        block = phase[r : r + _DFT_ROWS]
+        np.multiply(-1j, np.outer(w[r : r + _DFT_ROWS], n), out=block)
+        np.exp(block, out=block)
+    for row in taps:
+        yield np.abs(phase @ row)
+
+
 def behavior_report(
     tmcm: ObfuscatedTMCM,
     secret: SecretKey,
@@ -192,37 +214,33 @@ def behavior_report(
     audited through its ``bits``.
     """
     grid = build_frequency_grid(spec, grid_density)
-    N = tmcm.N
-    M = (N - 1) // 2
-    idx = np.arange(N)
-    phase_pass = np.exp(-1j * np.outer(grid.passband, idx))
-    phase_stop = np.exp(-1j * np.outer(grid.stopband, idx))
+    M = (tmcm.N - 1) // 2
     curve_w = np.linspace(0.0, np.pi, curve_points)
     curve_rows = response_matrix(curve_w, M)
     scale = 1 << spec.Q
+    keys = [secret.bits, *wrong_keys]
+    taps = effective_coefficients(tmcm, keys)
+    h = taps / scale
+    # One band's DFT matrix is live at a time.
+    pass_dev = [float(np.max(np.abs(mag - 1.0))) for mag in _band_gains(grid.passband, h)]
+    stop_dev = [float(np.max(mag)) for mag in _band_gains(grid.stopband, h)]
 
-    def audit(key, is_secret, taps):
-        mag_pass = np.abs(phase_pass @ (taps / scale))
-        mag_stop = np.abs(phase_stop @ (taps / scale))
-        pass_dev = float(np.max(np.abs(mag_pass - 1.0)))
-        stop_dev = float(np.max(mag_stop))
-        excess = max(pass_dev - spec.dp, stop_dev - spec.ds)
-        sym = (taps + taps[::-1]) / 2.0
+    def audit(j, key, row):
+        excess = max(pass_dev[j] - spec.dp, stop_dev[j] - spec.ds)
+        sym = (row + row[::-1]) / 2.0
         return KeyBehavior(
             key_hex=SecretKey(key, secret.widths).to_hex(),
-            is_secret=is_secret,
-            taps=tuple(int(t) for t in taps),
-            symmetric=bool(np.array_equal(taps, taps[::-1])),
-            max_passband_dev=pass_dev,
-            max_stopband_dev=stop_dev,
+            is_secret=j == 0,
+            taps=tuple(int(t) for t in row),
+            symmetric=bool(np.array_equal(row, row[::-1])),
+            max_passband_dev=pass_dev[j],
+            max_stopband_dev=stop_dev[j],
             band_excess=float(excess),
             violates=bool(excess > VIOLATION_TOL),
             curve=curve_rows @ (sym[: M + 1] / scale),
         )
 
-    keys = [secret.bits, *wrong_keys]
-    taps = effective_coefficients(tmcm, keys)
-    entries = [audit(k, j == 0, row) for j, (k, row) in enumerate(zip(keys, taps))]
+    entries = [audit(j, k, row) for j, (k, row) in enumerate(zip(keys, taps))]
     wrong = entries[1:]
     fraction = float(np.mean([e.violates for e in wrong])) if wrong else 0.0
     return BehaviorReport(
@@ -243,4 +261,4 @@ def emit_curves(report: BehaviorReport) -> str:
         rows.replace("\n", f"\n{key_id},") % tuple(entry.curve.tolist())
         for key_id, entry in enumerate(report.entries)
     ]
-    return "key_id,w_over_pi,gain" + "".join(blocks) + "\n"
+    return "".join(["key_id,w_over_pi,gain", *blocks, "\n"])

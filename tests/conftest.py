@@ -6,6 +6,8 @@ built lazily per (filter, method) pair.
 """
 
 import json
+import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,6 +50,28 @@ def make_quantized(coeffs, lo, hi, Q=8):
         bounds_u=np.asarray(hi, dtype=np.int64),
         Q=Q,
     )
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the test once the block has run ``seconds``, instead of hanging.
+
+    A SIGALRM timer: forked workers do not inherit it, and it interrupts
+    the parent's wait on a lock or a pipe.  `pytest.fail` raises no
+    Exception subclass, so no ``except`` clause of the code under test
+    turns it into a result.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

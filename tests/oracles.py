@@ -3,7 +3,8 @@
 Nothing in here shares code with the package: the simplex solver is a
 dense two-phase textbook tableau (production builds its HiGHS models on
 scipy's private ``_highspy._core`` extension, loaded without
-``scipy.optimize``), the feasibility probe is plain lattice enumeration, and
+``scipy.optimize``), the feasibility probe is plain lattice enumeration,
+the wrong-key audit builds each band's DFT matrix in one expression, and
 the constant-recovery oracle inverts the netlist truth table outright.
 """
 
@@ -132,6 +133,31 @@ def lattice_infeasibility(spec, grid, steps=41):
         np.max(np.abs(gs), axis=1) - spec.ds,
     )
     return float(viol.min())
+
+
+def direct_dft_audit(taps, spec, grid, curve_w):
+    """Per tap row: passband and stopband deviation, band excess, ZPFR curve.
+
+    The audit written out directly: each band's complex DFT matrix in
+    one expression, ``np.exp(-1j * np.outer(w, n))``, and one
+    matrix-vector product per row of ``taps`` (integers in units of
+    2**-Q).  Floats in the order of one key at a time.
+    """
+    from firlock.design import response_matrix
+
+    n = np.arange(spec.N)
+    phase_pass = np.exp(-1j * np.outer(grid.passband, n))
+    phase_stop = np.exp(-1j * np.outer(grid.stopband, n))
+    curve_rows = response_matrix(curve_w, spec.M)
+    scale = 1 << spec.Q
+    audits = []
+    for row in taps:
+        pass_dev = float(np.max(np.abs(np.abs(phase_pass @ (row / scale)) - 1.0)))
+        stop_dev = float(np.max(np.abs(phase_stop @ (row / scale))))
+        excess = float(max(pass_dev - spec.dp, stop_dev - spec.ds))
+        sym = (row + row[::-1]) / 2.0
+        audits.append((pass_dev, stop_dev, excess, curve_rows @ (sym[: spec.M + 1] / scale)))
+    return audits
 
 
 def invert_truth_table(nl, i, k_bits):

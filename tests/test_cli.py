@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ import pytest
 
 import firlock
 from firlock.cli import bundled_spec_text, main
+
+from conftest import deadline
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,27 @@ def test_design_ranged_bound_lp_failure_exit_1(tmp_path, spec_file, capsys, monk
     monkeypatch.setattr(_Highs, "getModelStatus", ranged_fails)
     assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
     assert "LP solver failed with HiGHS model status 4: Solve error" in _one_line_error(capsys)
+    assert multiprocessing.active_children() == []
+    assert not list(tmp_path.glob("filter1.*.json"))
+
+
+def test_design_bound_lp_worker_killed_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    # Every worker kills itself at its first solve, as the out-of-memory
+    # killer would: the pool must report it, not wait for the results.
+    from scipy.optimize._highspy._core import _Highs
+
+    parent, status = os.getpid(), _Highs.getModelStatus
+
+    def killed_in_worker(self):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return status(self)
+
+    monkeypatch.setattr(_Highs, "getModelStatus", killed_in_worker)
+    with deadline(60):
+        rc = main(["design", "--spec", str(spec_file), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "a worker process died before returning its result" in _one_line_error(capsys)
     assert multiprocessing.active_children() == []
     assert not list(tmp_path.glob("filter1.*.json"))
 

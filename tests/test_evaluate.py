@@ -19,6 +19,7 @@ from firlock.evaluate import (
 from firlock.tmcm import SecretKey, build_tmcm, simulate_filter, tmcm_select
 
 from conftest import EVAL_SEED, make_quantized
+from oracles import direct_dft_audit
 
 
 # --- wrong key sampling ----------------------------------------------------
@@ -174,6 +175,26 @@ def test_report_simulates_each_key_once(built, monkeypatch):
         taps = effective_coefficients(b.tmcm, key)
         sym = (taps + taps[::-1]) / 2.0
         assert np.array_equal(e.curve, rows @ (sym[: b.design.spec.M + 1] / scale))
+
+
+@pytest.mark.parametrize("dsm", ["hd", "rd", "hdrd"])
+@pytest.mark.parametrize("index", [1, 2])
+def test_audit_bits_equal_direct_dft_oracle(built, index, dsm):
+    # The audit builds one band's DFT matrix at a time, in place; every
+    # deviation and curve must keep the bits of the direct formula.
+    b = built(index, dsm)
+    spec = b.design.spec
+    keys = [*sample_wrong_keys(b.secret, 50, 4, EVAL_SEED), *single_slice_corruptions(b.secret)[:10]]
+    report = behavior_report(b.tmcm, b.secret, spec, keys)
+    taps = np.array([[tmcm_select(b.tmcm, i, k) for i in range(spec.N)] for k in [b.secret, *keys]])
+    expected = direct_dft_audit(taps, spec, b.design.verify_grid, report.curve_w)
+    assert len(report.entries) == len(expected) == 61
+    for e, row, (pass_dev, stop_dev, excess, curve) in zip(report.entries, taps, expected):
+        assert e.taps == tuple(row.tolist())
+        assert e.max_passband_dev.hex() == pass_dev.hex()
+        assert e.max_stopband_dev.hex() == stop_dev.hex()
+        assert e.band_excess.hex() == excess.hex()
+        assert e.curve.tobytes() == curve.tobytes()
 
 
 def test_zpfr_secret_key_within_quantization_bound(built):
