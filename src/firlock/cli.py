@@ -34,7 +34,9 @@ def bundled_spec_text(index: int) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(path, what: str, parse):
@@ -187,11 +189,12 @@ def cmd_obfuscate(args) -> int:
     da, tmcm, key, nl = _obfuscate(qf, args.dsm, args.p, args.ibw, args.seed_obfuscate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    text = nl.to_json_text({"run_config": config})
-    (out / "netlist.json").write_text(text + "\n", encoding="utf-8")
-    del text  # the netlist JSON and the Verilog are never held at once
+    with open(out / "netlist.json", "w", encoding="utf-8") as fh:
+        nl.write_json(fh, {"run_config": config})
+        fh.write("\n")
     header = json.dumps(config, sort_keys=True)
-    (out / "design.v").write_text(vg.emit_verilog(nl, header=f"config: {header}"), "utf-8")
+    with open(out / "design.v", "w", encoding="utf-8") as fh:
+        vg.write_verilog(nl, fh, header=f"config: {header}")
     (out / "key.hex").write_text(key.to_hex() + "\n", "utf-8")
     _write_json(out / "layout.json", {**key.layout_json_dict(), "run_config": config})
     _write_json(
@@ -254,7 +257,8 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "behavior.json", {**report.to_json_dict(), "run_config": config})
-    (out / "curves.csv").write_text(ev.emit_curves(report), "utf-8")
+    with open(out / "curves.csv", "w", encoding="utf-8") as fh:
+        ev.write_curves(report, fh)
     print(f"evaluate: {len(wrong)} wrong keys, violation fraction "
           f"{report.violation_fraction:.3f}")
     return 0

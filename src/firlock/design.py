@@ -16,7 +16,8 @@ All real values are finally quantized to integers by ceiling after
 scaling with 2**Q.
 
 Every LP runs on a `_model` of scipy's private HiGHS extension, loaded
-without ``scipy.optimize`` (`_highs`), with the bits of scipy's `linprog`.
+without ``scipy.optimize`` (`_highs`).  The bound LPs have the bits of
+scipy's `linprog`, and so does the design LP on filters 1-3 (see `linprog`).
 """
 
 from __future__ import annotations
@@ -324,11 +325,14 @@ def _solution(model, infeasible: str):
 def linprog(c, A_ub, b_ub, bounds, method="highs", options=_LP_OPTIONS):
     """`scipy.optimize.linprog`'s model for method ``"highs"``, after its run (see `_solution`).
 
-    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``, with the bits of scipy's solve.
-    It takes scipy's arguments; HiGHS is the only ``method``.
+    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``.  It takes
+    scipy's arguments; HiGHS is the only ``method``.  It solves without
+    the presolve that scipy runs.  On the design LPs of filters 1-3
+    presolve removes nothing and the optimum has the bits of scipy's
+    solve; on another LP the two runs can stop at different optima.
     """
     box = np.array(bounds, dtype=float).T
-    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "on", options), c)
+    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "off", options), c)
 
 
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
@@ -380,7 +384,7 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
 
     * the ranged model, one row ``lo <= R h <= hi`` per grid point with
       presolve off, only finds an optimal basis;
-    * the original model, the LP that `linprog` solves (presolve on),
+    * the original model, the LP that `linprog` builds, presolve on,
       starts from that basis mapped onto the row pairs.  HiGHS skips
       presolve when it is given a basis, and from an optimal one it
       does what a fresh run does after postsolve, so every optimum has

@@ -9,11 +9,12 @@ still meets its spec.  A filter is audited through its
 A wrong key can break coefficient symmetry, so the violation test uses
 the full-response magnitude |H(e^jw)| (a direct DFT of the effective
 taps); the ZPFR of the taps' symmetric part is kept for plotting
-(`emit_curves`).
+(`write_curves`).
 """
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "emit_curves",
     "sample_wrong_keys",
     "single_slice_corruptions",
+    "write_curves",
 ]
 
 VIOLATION_TOL = 1e-8
@@ -252,13 +254,20 @@ def behavior_report(
     )
 
 
-def emit_curves(report: BehaviorReport) -> str:
-    """CSV of the per-key zero-phase curves; key id 0 is the correct key."""
+def write_curves(report: BehaviorReport, fh) -> None:
+    """Write the CSV of the per-key zero-phase curves to ``fh``, one key
+    at a time; key id 0 is the correct key."""
     # One template per report, a "\n<w>,%.10g" row per frequency; each
     # key puts its id after every newline and fills in its gains.
     rows = "".join(f"\n{w:.10g},%.10g" for w in (report.curve_w / np.pi).tolist())
-    blocks = [
-        rows.replace("\n", f"\n{key_id},") % tuple(entry.curve.tolist())
-        for key_id, entry in enumerate(report.entries)
-    ]
-    return "".join(["key_id,w_over_pi,gain", *blocks, "\n"])
+    fh.write("key_id,w_over_pi,gain")
+    for key_id, entry in enumerate(report.entries):
+        fh.write(rows.replace("\n", f"\n{key_id},") % tuple(entry.curve.tolist()))
+    fh.write("\n")
+
+
+def emit_curves(report: BehaviorReport) -> str:
+    """`write_curves`'s text as one string."""
+    buf = io.StringIO()
+    write_curves(report, buf)
+    return buf.getvalue()

@@ -7,7 +7,7 @@ tuple ``(op, *operands)``; its JSON record is ``{"op": name}`` plus its
 operand nets, in tuple order, under the fields ``a`` (every op), ``b``
 (every op but NOT) and ``s`` (MUX2, whose output is b when s else a).
 Tuple order is also the fields' sorted order, which the text writer
-(`GateNetlist.to_json_text`) relies on.
+(`GateNetlist.write_json`) relies on.
 
 Lowering makes each bit of a key table one int truth table, entries in
 bit-reversed key-slice order, so each MUX2 tree level splits an int in
@@ -59,6 +59,8 @@ def _record_template(code: int) -> str:
 
 
 _RECORD_TEMPLATES = tuple(map(_record_template, range(len(OP_NAMES))))
+# Gate records formatted per write of `GateNetlist.write_json`.
+_GATES_PER_WRITE = 4096
 
 CONST0, CONST1 = 0, 1
 
@@ -123,24 +125,30 @@ class GateNetlist:
         gates = [{"op": OP_NAMES[g[0]], **dict(zip(_OPERANDS[g[0]], g[1:]))} for g in self.gates]
         return {**self._json_fields(), "gates": gates}
 
-    def to_json_text(self, extra: dict) -> str:
-        """``json.dumps({**self.to_json_dict(), **extra}, indent=2, sort_keys=True)``.
+    def write_json(self, fh, extra: dict) -> None:
+        """Write to ``fh`` what ``json.dumps({**self.to_json_dict(), **extra},
+        indent=2, sort_keys=True)`` returns.
 
         Gate records are filled into one template per op instead of
         passing through a dict each and the pure-Python indenting
-        encoder.  ``extra`` adds top-level fields other than ``gates``.
+        encoder, `_GATES_PER_WRITE` records per write, so the whole text
+        is never held.  ``extra`` adds top-level fields other than ``gates``.
         """
-        texts = {
-            k: json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
-            for k, v in {**self._json_fields(), **extra}.items()
-        }
-        if self.gates:
-            records = ",\n".join([_RECORD_TEMPLATES[g[0]] % g[1:] for g in self.gates])
-            texts["gates"] = f"[\n{records}\n  ]"
-        else:
-            texts["gates"] = "[]"
-        body = ",\n".join(f"  {json.dumps(k)}: {texts[k]}" for k in sorted(texts))
-        return f"{{\n{body}\n}}"
+        fields = {**self._json_fields(), **extra, "gates": None}
+        for n, name in enumerate(sorted(fields)):
+            fh.write(f"{',' if n else '{'}\n  {json.dumps(name)}: ")
+            if name != "gates":
+                fh.write(json.dumps(fields[name], indent=2, sort_keys=True).replace("\n", "\n  "))
+            elif not self.gates:
+                fh.write("[]")
+            else:
+                fh.write("[\n")
+                for start in range(0, len(self.gates), _GATES_PER_WRITE):
+                    block = self.gates[start : start + _GATES_PER_WRITE]
+                    records = ",\n".join([_RECORD_TEMPLATES[g[0]] % g[1:] for g in block])
+                    fh.write(f",\n{records}" if start else records)
+                fh.write("\n  ]")
+        fh.write("\n}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateNetlist":
@@ -262,14 +270,13 @@ class NetlistBuilder:
         return total, carry
 
     def build(self, outputs, meta=None) -> GateNetlist:
-        nl = GateNetlist(
+        """The netlist so far, not validated: every gate reads nets defined before it."""
+        return GateNetlist(
             inputs=self.inputs,
             outputs=list(outputs),
             gates=self.gates,
             meta=dict(meta or {}),
         )
-        nl.validate()
-        return nl
 
 
 def _mux_tree(b: NetlistBuilder, entries: tuple, sel: tuple) -> int:

@@ -52,6 +52,19 @@ def make_quantized(coeffs, lo, hi, Q=8):
     )
 
 
+def lowered(tmcm):
+    """`lower_to_gates`, validated: the builder does not check its own output."""
+    nl = lower_to_gates(tmcm)
+    nl.validate()
+    return nl
+
+
+class WriteLog(list):
+    """A text file stand-in that keeps each write as one item."""
+
+    write = list.append
+
+
 @contextmanager
 def deadline(seconds: int):
     """Fail the test once the block has run ``seconds``, instead of hanging.
@@ -136,7 +149,7 @@ def built(designed):
                 tmcm=tmcm,
                 secret=secret,
                 filt=tmcm,  # test_acceptance reads b.filt; the TMCM models the filter
-                netlist=lower_to_gates(tmcm),
+                netlist=lowered(tmcm),
             )
         return cache[key_tag]
 

@@ -27,10 +27,9 @@ from firlock.design import (
     verify_response,
 )
 from firlock.evaluate import behavior_report, sample_wrong_keys, single_slice_corruptions
-from firlock.netlist import lower_to_gates
 from firlock.tmcm import build_tmcm, reference_convolution, simulate_filter
 
-from conftest import ATTACK_SEED, DECOY_SEED, EVAL_SEED, make_quantized
+from conftest import ATTACK_SEED, DECOY_SEED, EVAL_SEED, lowered, make_quantized
 
 FILTERS = (1, 2, 3)
 METHODS = (DecoyMethod.HD, DecoyMethod.RD, DecoyMethod.HDRD)
@@ -125,7 +124,7 @@ def test_criterion_5_extraction_exactness(built, extracted):
         da = assign_decoys(qf, n + int(rng.integers(0, 2)), DecoyMethod.RD, seed=trial)
         tmcm, _ = build_tmcm(qf, da, ibw=4, seed=trial + 1)
         assert tmcm.cbw == 4 and tmcm.ibw == 4
-        nl = lower_to_gates(tmcm)
+        nl = lowered(tmcm)
         rec = extract_constants(nl, samples=64, seed=trial)
         for i in range(n):
             for v, got in enumerate(rec.R[i]):

@@ -33,12 +33,11 @@ from firlock.netlist import (
     OP_XOR,
     GateNetlist,
     PackedEvaluator,
-    lower_to_gates,
     pack_value_bits,
 )
 from firlock.tmcm import ObfuscatedTMCM, build_tmcm
 
-from conftest import ATTACK_SEED, make_quantized, small_tmcms
+from conftest import ATTACK_SEED, lowered, make_quantized, small_tmcms
 
 
 def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):
@@ -48,7 +47,7 @@ def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):
     )
     da = assign_decoys(qf, p or len(coeffs), dsm, seed=seed)
     tmcm, key = build_tmcm(qf, da, ibw=ibw, seed=seed + 1)
-    return qf, da, tmcm, key, lower_to_gates(tmcm)
+    return qf, da, tmcm, key, lowered(tmcm)
 
 
 # --- key slice inference --------------------------------------------------
@@ -244,7 +243,7 @@ def tampered(top_keys, lsb_keys) -> GateNetlist:
     must give 0).
     """
     tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5),), seed=0)
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     (k0,) = nl.inputs["k"]
     gates, outputs = list(nl.gates), list(nl.outputs)
 
@@ -296,7 +295,7 @@ def test_extraction_raises_first_failure_in_slice_order():
     # spot check fails.  Bit 0 is flipped when i = 1, so slice 1 fails on
     # its first constant, in its worker, before slice 0 gets that far.
     tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5), (6, 7)), seed=0)
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     (i0,) = nl.inputs["i"]
     gates, outputs = list(nl.gates), list(nl.outputs)
     gates.append((OP_NOT, i0))
@@ -326,7 +325,7 @@ def test_shared_spot_check_run_raises_first_failure_in_slice_order(fault, messag
     # bit 0 is set.  The low bits extraction observes stay intact, so only
     # the shared run sees the faults, and it names the first in slice order.
     tmcm = ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((3, 5), (6, 7)), seed=0)
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     (i0,), (k0, k1) = nl.inputs["i"], nl.inputs["k"]
     gates, outputs = list(nl.gates), list(nl.outputs)
     gates.append(fault(i0, k0, k1))
@@ -391,7 +390,7 @@ def test_extraction_agrees_with_truth_table_inversion():
 def test_extraction_agrees_with_truth_table_inversion_random_tables(cbw_minus_ibw, data):
     # cbw < ibw, = ibw and > ibw are the edges of the 2**min(cbw, ibw)
     # observation grid.
-    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    nl = lowered(data.draw(small_tmcms(cbw_minus_ibw)))
     rec = extract_constants(nl, samples=64)
     for i, bits_i in enumerate(rec.slices):
         for v, got in enumerate(rec.R[i]):

@@ -98,7 +98,8 @@ def test_design_bound_lp_solver_failure_exit_1(tmp_path, spec_file, capsys, monk
 
 
 def test_design_ranged_bound_lp_failure_exit_1(tmp_path, spec_file, capsys, monkeypatch):
-    # Only the workers' ranged model (the one with presolve off) fails.
+    # Only the workers' ranged model fails: presolve is off on it and on
+    # the design LP, but the design LP runs in the parent.
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     parent, status = os.getpid(), _Highs.getModelStatus
@@ -258,6 +259,41 @@ def test_pipeline_rerun_byte_identical(tmp_path, spec_file):
     run(tmp_path)
     for rel, blob in snapshot.items():
         assert (tmp_path / rel).read_bytes() == blob, rel
+
+
+def test_json_artifacts_equal_the_indented_dump(tmp_path, spec_file, monkeypatch):
+    # Every JSON artifact, from the command that writes it: what
+    # `_write_json` wrote against `json.dumps` of the object it was given,
+    # and netlist.json against the dump of its own parse.
+    import firlock.cli as cli
+
+    expected, write = {}, cli._write_json
+
+    def recorded(path, obj):
+        write(path, obj)
+        expected[path.name] = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    monkeypatch.setattr(cli, "BENCH_KEY_BITS", {1: 32})
+    d, o = tmp_path / "d", tmp_path / "o"
+    assert main(["design", "--spec", str(spec_file), "--out", str(d)]) == 0
+    assert main(["obfuscate", "--quant", str(d / "filter1.quant.json"), "--p", "32",
+                 "--out", str(o)]) == 0
+    assert main(["attack", "--netlist", str(o / "netlist.json"), "--ground-truth",
+                 str(o / "secret-assignment.json"), "--out", str(tmp_path / "a")]) == 0
+    assert main(["evaluate", "--secret", str(o / "secret-assignment.json"), "--keys", "10",
+                 "--out", str(tmp_path / "e")]) == 0
+    assert main(["bench", "--dsm", "hd", "--keys", "10", "--out", str(tmp_path / "b")]) == 0
+    text = (o / "netlist.json").read_text("utf-8")
+    expected["netlist.json"] = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    files = {p.name: p for p in tmp_path.rglob("*.json")}
+    assert sorted(files) == sorted(expected) == [
+        "behavior.json", "bench.json", "filter1.float.json", "filter1.quant.json",
+        "filter1.verify.json", "layout.json", "netlist.json", "recovered.json", "report.json",
+        "secret-assignment.json",
+    ]
+    for name, path in files.items():
+        assert path.read_bytes() == expected[name].encode("utf-8"), name
 
 
 # --- one-line failures at the boundary ----------------------------------------

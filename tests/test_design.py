@@ -300,8 +300,9 @@ def test_bounds_optimum_outside_constraints_raises_in_parent(monkeypatch):
 
 
 def test_bounds_ranged_solve_failure_raises_in_parent_and_leaves_no_process(monkeypatch):
-    # Only the ranged model (the one with presolve off) fails, and only in
-    # the workers: the original model never sees a basis.
+    # Only the ranged model fails, and only in the workers: the original
+    # model never sees a basis.  Presolve is off on it and on the design
+    # LP, but the design LP runs in the parent.
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     parent, status = os.getpid(), _Highs.getModelStatus

@@ -15,10 +15,11 @@ from firlock.evaluate import (
     emit_curves,
     sample_wrong_keys,
     single_slice_corruptions,
+    write_curves,
 )
 from firlock.tmcm import SecretKey, build_tmcm, simulate_filter, tmcm_select
 
-from conftest import EVAL_SEED, make_quantized
+from conftest import EVAL_SEED, WriteLog, make_quantized
 from oracles import direct_dft_audit
 
 
@@ -272,3 +273,9 @@ def test_emit_curves_equals_per_value_formatting(built, curve_points):
     report = behavior_report(b.tmcm, b.secret, b.design.spec, keys, curve_points=curve_points)
     assert len(report.entries) == 13
     assert emit_curves(report) == _curves_one_value_at_a_time(report)
+    # The header, each key's rows, the last newline: one write each.
+    writes = WriteLog()
+    write_curves(report, writes)
+    assert "".join(writes) == _curves_one_value_at_a_time(report)
+    assert len(writes) == 2 + len(report.entries)
+    assert all(w.count("\n") == curve_points for w in writes[1:-1])

@@ -1,5 +1,6 @@
 """Gate lowering: exhaustive and randomized equivalence to the word level."""
 
+import io
 import json
 
 import numpy as np
@@ -21,12 +22,11 @@ from firlock.netlist import (
     PackedEvaluator,
     _signed_multiplier,
     const_mask,
-    lower_to_gates,
     pack_value_bits,
 )
 from firlock.tmcm import ObfuscatedTMCM, build_tmcm, key_offsets, tmcm_multiply
 
-from conftest import make_quantized, small_tmcms
+from conftest import WriteLog, lowered, make_quantized, small_tmcms
 
 
 def tiny_tmcm(ibw=4, seed=5, n=3):
@@ -58,7 +58,7 @@ def eval_all(nl, i_vals, k_vals, x_vals):
 
 def assert_gates_match_word_level(tmcm):
     """Every (i, k, x) of the lowered netlist against `tmcm_multiply`."""
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     n_i, n_k, n_x = 1 << tmcm.select_width, 1 << tmcm.p, 1 << tmcm.ibw
     grid = np.indices((n_i, n_k, n_x)).reshape(3, -1)
     i_vals, k_vals, x_vals = grid[0], grid[1], grid[2]
@@ -116,7 +116,7 @@ def linear_run(nl, input_masks, width):
 def test_pruned_run_matches_linear_evaluation(cbw_minus_ibw, data):
     # i and k are each either held (every bit all-0 or all-1, as during
     # extraction, so MUX2/AND/OR pruning applies) or random per lane.
-    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    nl = lowered(data.draw(small_tmcms(cbw_minus_ibw)))
     width = data.draw(st.integers(1, 80))
     mask = (1 << width) - 1
     masks, held = {}, {}
@@ -167,7 +167,7 @@ def test_run_matches_linear_evaluation_on_random_netlists(data):
     masks = {"a": data.draw(st.lists(lane, min_size=n_in, max_size=n_in))}
     assert PackedEvaluator(nl).run(masks, width) == linear_run(nl, masks, width)
     assert GateNetlist.from_json_dict(nl.to_json_dict()).gates == nl.gates
-    assert nl.to_json_text({}) == json.dumps(nl.to_json_dict(), indent=2, sort_keys=True)
+    assert _json_text(nl, {}) == json.dumps(nl.to_json_dict(), indent=2, sort_keys=True)
 
 
 def assert_cone_runs_match_linear_evaluation(nl, data):
@@ -206,7 +206,7 @@ def assert_cone_runs_match_linear_evaluation(nl, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cone_run_matches_linear_evaluation(cbw_minus_ibw, data):
-    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    nl = lowered(data.draw(small_tmcms(cbw_minus_ibw)))
     assert_cone_runs_match_linear_evaluation(nl, data)
 
 
@@ -251,7 +251,7 @@ def test_schedule_reused_only_for_the_same_varying_bits_and_outputs():
     # output bits.  A schedule kept across a change of held values or
     # output bits would give stale results.
     tmcm = tiny_tmcm()[2]
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     width = 1 << tmcm.ibw
     x = pack_value_bits(np.arange(width), tmcm.ibw)
     ev = PackedEvaluator(nl)
@@ -271,7 +271,7 @@ def test_schedule_kept_per_output_bits_until_the_varying_bits_change(monkeypatch
     # schedule is kept per tuple of output bits across runs that read
     # other bits, and rebuilt when the varying bits change.
     tmcm = tiny_tmcm()[2]
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     width = 1 << tmcm.ibw
     x = pack_value_bits(np.arange(width), tmcm.ibw)
     k = pack_value_bits(np.arange(width) % (1 << tmcm.p), tmcm.p)
@@ -351,7 +351,7 @@ def test_lowering_equals_per_leaf_walk_gate_for_gate(cbw_minus_ibw, data):
     # Gate order is the artifact: the same gates in the same order, not
     # just an equivalent circuit.
     tmcm = data.draw(small_tmcms(cbw_minus_ibw))
-    _assert_same_netlist(lower_to_gates(tmcm), _lower_walking_every_leaf(tmcm))
+    _assert_same_netlist(lowered(tmcm), _lower_walking_every_leaf(tmcm))
 
 
 @st.composite
@@ -375,7 +375,7 @@ def wide_tmcms(draw):
 def test_wide_table_lowering_equals_per_leaf_walk_gate_for_gate(tmcm):
     # The truth-table leaf order reverses the key slice's bits, which
     # tables of 1 or 2 key bits cannot check for wider slices.
-    _assert_same_netlist(lower_to_gates(tmcm), _lower_walking_every_leaf(tmcm))
+    _assert_same_netlist(lowered(tmcm), _lower_walking_every_leaf(tmcm))
 
 
 @pytest.mark.parametrize("dsm", list(DecoyMethod))
@@ -386,7 +386,7 @@ def test_reference_lowering_equals_per_leaf_walk(built, dsm):
 
 def test_zero_input_gives_zero_product():
     _, _, tmcm, key = tiny_tmcm()
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     got = eval_all(nl, [1, 2], [key.bits] * 2, [0, 0])
     assert list(got) == [0, 0]
 
@@ -419,7 +419,7 @@ def test_gate_word_agreement_full_size(built):
 
 def test_key_slice_locality_at_gate_level():
     qf, da, tmcm, key = tiny_tmcm()
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     base = eval_all(nl, range(tmcm.N), [key.bits] * tmcm.N, [1] * tmcm.N)
     flipped = key.bits ^ 1  # slice 0
     out = eval_all(nl, range(tmcm.N), [flipped] * tmcm.N, [1] * tmcm.N)
@@ -462,7 +462,7 @@ def test_single_tap_netlist():
     qf = make_quantized([5], [4], [6], Q=4)
     da = assign_decoys(qf, 1, DecoyMethod.HD, seed=0)
     tmcm, key = build_tmcm(qf, da, ibw=4, seed=1)
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     assert nl.inputs["i"] == []
     got = eval_all(nl, [0, 0], [key.bits, key.bits ^ 1], [1, 1])
     assert got[0] == 5
@@ -482,13 +482,19 @@ def _json_text_oracle(nl, extra):
     return json.dumps({**nl.to_json_dict(), **extra}, indent=2, sort_keys=True)
 
 
+def _json_text(nl, extra):
+    buf = io.StringIO()
+    nl.write_json(buf, extra)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("extra", [{}, JSON_EXTRA], ids=["no-extra", "extra"])
 def test_json_text_equals_indented_dump_all_ops(extra):
     gates = [(OP_AND, 2, 3), (OP_OR, 3, 4), (OP_XOR, 5, 6), (OP_NOT, 7), (OP_MUX2, 6, 8, 2)]
     nl = GateNetlist(inputs={"x": [2, 3], "a": [4]}, outputs=[9, 8, 0], gates=gates,
                      meta={"N": 1, "p": 2})
     nl.validate()
-    text = nl.to_json_text(extra)
+    text = _json_text(nl, extra)
     assert text == _json_text_oracle(nl, extra)
     again = GateNetlist.from_json_dict(json.loads(text))
     assert (again.gates, again.inputs, again.outputs, again.meta) == (
@@ -498,7 +504,7 @@ def test_json_text_equals_indented_dump_all_ops(extra):
 
 def test_json_text_equals_indented_dump_without_gates():
     nl = GateNetlist(inputs={"i": [], "x": [2]}, outputs=[2, 1], gates=[])
-    text = nl.to_json_text(JSON_EXTRA)
+    text = _json_text(nl, JSON_EXTRA)
     assert text == _json_text_oracle(nl, JSON_EXTRA)
     assert GateNetlist.from_json_dict(json.loads(text)).gates == []
 
@@ -506,6 +512,21 @@ def test_json_text_equals_indented_dump_without_gates():
 def test_json_text_equals_indented_dump_lowered(built):
     nl = built(1, DecoyMethod.HDRD).netlist
     assert {g[0] for g in nl.gates} == {OP_AND, OP_OR, OP_XOR, OP_NOT, OP_MUX2}
-    text = nl.to_json_text(JSON_EXTRA)
+    text = _json_text(nl, JSON_EXTRA)
     assert text == _json_text_oracle(nl, JSON_EXTRA)
     assert GateNetlist.from_json_dict(json.loads(text)).gates == nl.gates
+
+
+@pytest.mark.parametrize("n_gates", range(5))
+def test_json_text_equals_indented_dump_across_write_blocks(monkeypatch, n_gates):
+    # With 3 records per write: no gates, 1 gate, a block less one, a
+    # block, a block and one.
+    monkeypatch.setattr("firlock.netlist._GATES_PER_WRITE", 3)
+    gates = [(OP_AND, 2, 3), (OP_OR, 3, 4), (OP_XOR, 5, 6), (OP_NOT, 7), (OP_MUX2, 6, 8, 2)]
+    nl = GateNetlist(inputs={"x": [2, 3], "a": [4]}, outputs=[4 + n_gates, 0],
+                     gates=gates[:n_gates], meta={"N": 1})
+    nl.validate()
+    writes = WriteLog()
+    nl.write_json(writes, JSON_EXTRA)
+    assert "".join(writes) == _json_text_oracle(nl, JSON_EXTRA)
+    assert max(w.count('"op"') for w in writes) == min(n_gates, 3)

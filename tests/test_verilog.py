@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firlock.decoys import DecoyMethod, assign_decoys
-from firlock.netlist import PackedEvaluator, lower_to_gates, pack_value_bits
+from firlock.netlist import OP_AND, OP_MUX2, OP_NOT, GateNetlist, PackedEvaluator, pack_value_bits
 from firlock.tmcm import build_tmcm
-from firlock.verilog import emit_verilog
+from firlock import verilog
+from firlock.verilog import emit_verilog, write_verilog
 
-from conftest import make_quantized, small_tmcms
+from conftest import WriteLog, lowered, make_quantized, small_tmcms
 from verilog_parser import parse_verilog
 
 
@@ -38,7 +39,7 @@ def test_round_trip_behavior(built):
 @given(data=st.data())
 def test_round_trip_random_tables(cbw_minus_ibw, data):
     # Every (i, k, x) the ports can carry, padded select values included.
-    nl = lower_to_gates(data.draw(small_tmcms(cbw_minus_ibw)))
+    nl = lowered(data.draw(small_tmcms(cbw_minus_ibw)))
     again = parse_verilog(emit_verilog(nl))
     widths = [len(nl.inputs[name]) for name in "ikx"]
     grid = np.indices([1 << w for w in widths]).reshape(3, -1)
@@ -63,7 +64,7 @@ def test_single_tap_module_is_valid_and_round_trips():
     qf = make_quantized([5], [4], [6], Q=4)
     da = assign_decoys(qf, 1, DecoyMethod.HD, seed=0)
     tmcm, key = build_tmcm(qf, da, ibw=4, seed=1)
-    nl = lower_to_gates(tmcm)
+    nl = lowered(tmcm)
     text = emit_verilog(nl)
     # Zero-width select port still emitted one bit wide.
     assert "input [0:0] i;" in text
@@ -81,3 +82,23 @@ def test_header_comment_passthrough(built):
     lines = text.splitlines()
     assert lines[1] == "// alpha" and lines[2] == "// beta"
 
+
+
+@pytest.mark.parametrize("n_gates", range(4))
+def test_write_verilog_bytes_do_not_depend_on_lines_per_write(monkeypatch, n_gates):
+    # Against the text in one write, every write size from one line to
+    # all of them; each gate count puts the gates at other line offsets.
+    # CONST1 is both a wire and an output.
+    gates = [(OP_AND, 2, 3), (OP_NOT, 5), (OP_MUX2, 4, 6, 2)]
+    nl = GateNetlist(inputs={"i": [], "k": [2, 3], "x": [4]}, outputs=[4 + n_gates, 1],
+                     gates=gates[:n_gates])
+    nl.validate()
+    text = emit_verilog(nl, header="alpha\nbeta")
+    n_lines = text.count("\n")
+    assert n_lines < verilog._LINES_PER_WRITE
+    for block in range(1, n_lines + 2):
+        monkeypatch.setattr(verilog, "_LINES_PER_WRITE", block)
+        writes = WriteLog()
+        write_verilog(nl, writes, header="alpha\nbeta")
+        assert "".join(writes) == text
+        assert max(w.count("\n") for w in writes) <= block
