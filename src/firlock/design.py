@@ -18,6 +18,9 @@ scaling with 2**Q.
 Every LP runs on a `_model` of scipy's private HiGHS extension, loaded
 without ``scipy.optimize`` (`_highs`).  The bound LPs have the bits of
 scipy's `linprog`, and so does the design LP on filters 1-3 (see `linprog`).
+A bound LP's optimal basis, which sets those bits, is taken from a small
+model of a few grid rows only when it is provably the LP's only optimal
+basis; a degenerate LP is solved cold on the whole grid (`_bound_solver`).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "design_coefficients",
     "magnitude_bitwidth",
     "quantize",
-    "quantization_deviation_bound",
     "response_matrix",
     "strict_int",
     "verify_response",
@@ -69,6 +71,18 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
+
+# `_unique_basis`: the margins a basis must clear, primal (ten times the
+# tolerances above) and dual; the grid rows per tap and band its first
+# model holds (every 16th row at the default grid density); and the runs
+# it makes before it leaves the LP to the cold solve.  On drawn specs with
+# narrow bands at both ends of [0, pi], a cold solve stopped on another
+# basis where the accepted one had a dual of 4-5e-8; a dual margin of
+# 1e-6 keeps every basis of filters 1-3 that passes the primal one.
+_UNIQUE_MARGIN = 1e-8
+_UNIQUE_DUAL_MARGIN = 1e-6
+_SEED_ROWS_PER_TAP = 1
+_MAX_ROUNDS = 20
 
 
 class InfeasibleSpec(Exception):
@@ -375,20 +389,97 @@ class BoundSet:
             raise ValueError("lower bound exceeds upper bound")
 
 
+def _basis_statuses(codes) -> list:
+    """The HiGHS basis statuses of the int ``codes``."""
+    by_code = sorted(_highs().HighsBasisStatus.__members__.values(), key=int)
+    return np.array(by_code, dtype=object)[codes].tolist()
+
+
+def _unique_basis(R, lo, hi, box, cost, n_pass: int):
+    """The unique optimal basis of ``min cost @ h`` s.t. ``lo <= R h <= hi``, ``box``; else None.
+
+    The basis is found on a small ranged model, presolve off, of each
+    band's last row and every k-th row, k such that each band gives about
+    `_SEED_ROWS_PER_TAP` rows per tap (``n_pass`` passband rows come
+    first).  After each run, every run of consecutive rows of one band
+    whose slack ``R h`` to ``lo`` or ``hi`` is below `_UNIQUE_MARGIN`
+    sends its row of least slack to the model if it is not there yet, and
+    the live model runs again from its basis.  Once no row is missing,
+    the rows left out count as basic, and the basis is returned, as a
+    basis of all of ``R``'s rows, only if it is nondegenerate by the
+    margins: every basic row and column lies more than `_UNIQUE_MARGIN`
+    inside its bounds, and every nonbasic one has a dual of more than
+    `_UNIQUE_DUAL_MARGIN`.  Such a basis is optimal for the full LP and
+    no other basis is, so a cold solve of the full LP ends on it too.
+    None stands for any other end: a status other than optimal, a
+    solution of the wrong shape, a margin not met, or `_MAX_ROUNDS` runs
+    without the rows complete.
+    """
+    highs = _highs()
+    basic = int(highs.HighsBasisStatus.kBasic)
+    n_rows, n = R.shape
+    stride = max(n_pass // (_SEED_ROWS_PER_TAP * (2 * n - 1)), 1)
+    in_model = np.zeros(n_rows, dtype=bool)
+    for start, stop in ((0, n_pass), (n_pass, n_rows)):
+        in_model[start:stop:stride] = in_model[stop - 1] = True
+    rows = np.flatnonzero(in_model)
+    model = _model(R[rows], lo[rows], hi[rows], box, "off")
+    model.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
+    for _ in range(_MAX_ROUNDS):
+        model.run()
+        if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return None
+        solution = model.getSolution()
+        h = np.asarray(solution.col_value)
+        if h.shape != (n,):
+            return None
+        g = R @ h
+        slack = np.minimum(g - lo, hi - g)
+        low = np.flatnonzero(slack < _UNIQUE_MARGIN)
+        runs = np.split(low, np.flatnonzero((np.diff(low) != 1) | (low[1:] == n_pass)) + 1)
+        least = np.array([run[np.argmin(slack[run])] for run in runs if len(run)], dtype=np.intp)
+        new = least[~in_model[least]]
+        if len(new):
+            in_model[new] = True
+            rows = np.append(rows, new)
+            starts, index, values = _csc(R[new].T)
+            model.addRows(len(new), lo[new], hi[new], len(values), starts, index, values)
+            continue
+        basis = model.getBasis()
+        found = np.full(n_rows, basic, dtype=np.int8)
+        found[rows] = np.fromiter(map(int, basis.row_status), np.int8, len(rows))
+        cols = np.fromiter(map(int, basis.col_status), np.int8, n)
+        slack = np.concatenate([slack, np.minimum(h - box[0], box[1] - h)])
+        primal = slack[np.concatenate([found, cols]) == basic]
+        dual = np.abs(np.concatenate([solution.row_dual, solution.col_dual]))
+        dual = dual[np.concatenate([found[rows], cols]) != basic]
+        if not (np.all(primal > _UNIQUE_MARGIN) and np.all(dual > _UNIQUE_DUAL_MARGIN)):
+            return None
+        basis.row_status = _basis_statuses(found)
+        return basis
+    return None
+
+
 def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     """``solve((i, sign))``: the minimum of ``sign * h_i`` s.t. ``A h <= b``, ``-1 <= h <= 1``.
 
-    ``A h <= b`` are the rows of `_band_rows`.  Every call solves on two
-    HiGHS models built here, each cold-started (no basis or solution
-    kept from the last call) after its cost is set to ``sign * e_i``:
+    ``A h <= b`` are the rows of `_band_rows`.  Every call sets the cost
+    to ``sign * e_i`` and finds an optimal basis of the ranged LP, one
+    row ``lo <= R h <= hi`` per grid point:
 
-    * the ranged model, one row ``lo <= R h <= hi`` per grid point with
-      presolve off, only finds an optimal basis;
-    * the original model, the LP that `linprog` builds, presolve on,
-      starts from that basis mapped onto the row pairs.  HiGHS skips
-      presolve when it is given a basis, and from an optimal one it
-      does what a fresh run does after postsolve, so every optimum has
-      the bits of a `scipy.optimize.linprog` solve.
+    * `_unique_basis` finds it on a small model of a few grid rows,
+      built for the call, when the basis is provably the only optimal
+      one, so that every way of solving the LP ends on it;
+    * otherwise the ranged model built here, presolve off, solves the
+      whole LP cold (no basis or solution kept from the last call).  A
+      degenerate LP needs this: which of its optimal bases it ends on,
+      and so the bits of its optimum, depend on how it is solved.
+
+    The original model built here, the LP that `linprog` builds with
+    presolve on, then starts cold from that basis mapped onto the row
+    pairs.  HiGHS skips presolve when it is given a basis, and from an
+    optimal one it does what a fresh run does after postsolve, so every
+    optimum has the bits of a `scipy.optimize.linprog` solve.
 
     A ranged row at its upper (lower) bound makes its upper (lower)
     half nonbasic at that half's upper bound, the other half basic; a
@@ -403,20 +494,21 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     ranged = _model(R, lo, hi, box, "off")
     original = _model(A, np.full(len(A), -np.inf), b, box, "on")
     S = _highs().HighsBasisStatus
-    by_code = np.array(sorted(S.__members__.values(), key=int), dtype=object)
     infeasible = "bound LP infeasible; design the filter first"
 
     def solve(task) -> float:
         i, sign = task
         cost = np.zeros(spec.M + 1)
         cost[i] = sign
-        _solution(_run(ranged, cost), infeasible)
-        basis = ranged.getBasis()
+        basis = _unique_basis(R, lo, hi, box, cost, len(grid.passband))
+        if basis is None:
+            _solution(_run(ranged, cost), infeasible)
+            basis = ranged.getBasis()
         found = np.fromiter(map(int, basis.row_status), np.int8, len(R))
         rows = np.full(len(A), int(S.kBasic))
         rows[upper[found == int(S.kUpper)]] = int(S.kUpper)
         rows[lower[found == int(S.kLower)]] = int(S.kUpper)
-        basis.row_status = by_code[rows].tolist()
+        basis.row_status = _basis_statuses(rows)
         solution = _solution(_run(original, cost, basis), infeasible)
         violation = max(
             np.max(np.asarray(solution.row_value) - b), np.max(np.abs(solution.col_value)) - 1.0
@@ -439,11 +531,14 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     are solved by `fork_map`'s workers.  The two HiGHS models of
     `_bound_solver` are built here once, before the fork, so each worker
     inherits its own copies and solves all of its tasks on them.  Each
-    LP finds its optimal basis on the ranged model (one row per grid
-    point, half the rows, no presolve) and finishes on the original LP
-    from that basis, with the bits of scipy's `linprog`; both start cold
-    for each LP.  Only the index of the task ``(i, sign)`` and the
-    optimum cross between the processes.
+    LP finds its optimal basis on a small model of a few grid rows when
+    no other basis is optimal (`_unique_basis`; 27 / 55 / 92 of filter
+    1 / 2 / 3's 30 / 60 / 106 LPs), else cold on the ranged model (one
+    row per grid point, half the rows, no presolve).  It finishes on the
+    original LP from that basis, with the bits of scipy's `linprog`.  No
+    model keeps a basis from one LP to the next, so no optimum depends on
+    which worker solves it or after what.  Only the index of the task
+    ``(i, sign)`` and the optimum cross between the processes.
     """
     n = spec.M + 1
     tasks = [(i, sign) for i in range(n) for sign in (1, -1)]
@@ -537,16 +632,6 @@ def quantize(coeffs: RealCoefficients, bounds: BoundSet, Q: int) -> QuantizedFil
         bounds_u=_mirror(qu),
         Q=Q,
     )
-
-
-def quantization_deviation_bound(M: int, Q: int) -> float:
-    """Uniform bound on |quantized ZPFR - real ZPFR|.
-
-    Each of the M+1 half coefficients moves by less than 2**-Q under
-    the ceiling rule and is weighted by at most 2 in the ZPFR, so the
-    responses differ by less than 2*(M+1)*2**-Q at every frequency.
-    """
-    return 2.0 * (M + 1) * 2.0 ** (-Q)
 
 
 @dataclass(frozen=True)

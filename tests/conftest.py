@@ -52,6 +52,16 @@ def make_quantized(coeffs, lo, hi, Q=8):
     )
 
 
+def quantization_deviation_bound(M: int, Q: int) -> float:
+    """Uniform bound on |quantized ZPFR - real ZPFR|.
+
+    Each of the M+1 half coefficients moves by less than 2**-Q under
+    the ceiling rule and is weighted by at most 2 in the ZPFR, so the
+    responses differ by less than 2*(M+1)*2**-Q at every frequency.
+    """
+    return 2.0 * (M + 1) * 2.0 ** (-Q)
+
+
 def lowered(tmcm):
     """`lower_to_gates`, validated: the builder does not check its own output."""
     nl = lower_to_gates(tmcm)

@@ -22,14 +22,20 @@ from firlock.cli import BENCH_KEY_BITS, bundled_spec_text, main
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.design import (
     design_coefficients,
-    quantization_deviation_bound,
     response_matrix,
     verify_response,
 )
 from firlock.evaluate import behavior_report, sample_wrong_keys, single_slice_corruptions
 from firlock.tmcm import build_tmcm, reference_convolution, simulate_filter
 
-from conftest import ATTACK_SEED, DECOY_SEED, EVAL_SEED, lowered, make_quantized
+from conftest import (
+    ATTACK_SEED,
+    DECOY_SEED,
+    EVAL_SEED,
+    lowered,
+    make_quantized,
+    quantization_deviation_bound,
+)
 
 FILTERS = (1, 2, 3)
 METHODS = (DecoyMethod.HD, DecoyMethod.RD, DecoyMethod.HDRD)

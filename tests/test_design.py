@@ -6,9 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from oracles import lattice_infeasibility, simplex_solve
 
+import firlock.design
 from firlock.design import (
+    BAND_TYPES,
     FilterSpec,
     InfeasibleSpec,
     LPSolverError,
@@ -17,19 +21,19 @@ from firlock.design import (
     _bound_solver,
     _LP_OPTIONS,
     _csc,
+    _model,
     _ranged_rows,
     build_frequency_grid,
     coefficient_bounds,
     design_coefficients,
     magnitude_bitwidth,
-    quantization_deviation_bound,
     quantize,
     response_matrix,
     verify_response,
     verify_spec,
 )
 
-from conftest import reference_spec
+from conftest import quantization_deviation_bound, reference_spec
 
 
 def scipy_linprog(c, A, b, bounds):
@@ -359,6 +363,102 @@ def test_bound_optima_independent_of_history_and_worker_count(monkeypatch, index
     for bounds in pooled:
         assert bounds.lower.tobytes() == expected[0::2].tobytes()
         assert bounds.upper.tobytes() == (-expected[1::2]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "index, density, certified, cold",
+    [(1, 16.0, 27, 3), (2, 16.0, 55, 5), (3, 4.0, 104, 2)],
+    ids=["filter1", "filter2", "filter3-coarse"],
+)
+def test_unique_bases_are_the_cold_ranged_bases(monkeypatch, index, density, certified, cold):
+    """Every basis `_unique_basis` accepts is the one a cold solve of the
+    whole ranged LP ends on, row for row and column for column; the
+    solver takes the cold solve for exactly the LPs it does not accept."""
+    spec = reference_spec(index)
+    grid = build_frequency_grid(spec, density)
+    R, lo, hi, _, _ = _ranged_rows(spec, grid)
+    n = spec.M + 1
+    ranged = _model(R, lo, hi, (np.full(n, -1.0), np.full(n, 1.0)), "off")
+    unique, run = firlock.design._unique_basis, firlock.design._run
+    bases, cold_solves = [], []
+
+    def statuses(basis):
+        return [list(map(int, basis.row_status)), list(map(int, basis.col_status))]
+
+    def recorded(*args):
+        basis = unique(*args)
+        bases.append(None if basis is None else statuses(basis))
+        return basis
+
+    def counted(model, cost, basis=None):
+        cold_solves.append(basis is None)
+        return run(model, cost, basis)
+
+    monkeypatch.setattr(firlock.design, "_unique_basis", recorded)
+    monkeypatch.setattr(firlock.design, "_run", counted)
+    solve = _bound_solver(spec, grid)
+    paths = {"unique": 0, "cold": 0}
+    for i in range(n):
+        for sign in (1, -1):
+            bases.clear()
+            cold_solves.clear()
+            solve((i, sign))
+            if bases[0] is None:
+                assert cold_solves == [True, False]
+                paths["cold"] += 1
+                continue
+            assert cold_solves == [False]
+            paths["unique"] += 1
+            cost = np.zeros(n)
+            cost[i] = sign
+            assert bases[0] == statuses(run(ranged, cost).getBasis())
+    assert paths == {"unique": certified, "cold": cold}
+
+
+@st.composite
+def small_specs(draw):
+    """A spec of N <= 25, low- or high-pass, and a design grid of density 1-16."""
+    band_type = draw(st.sampled_from(BAND_TYPES))
+    low = draw(st.floats(0.05, 0.85))
+    high = draw(st.floats(low + 0.05, 0.95))
+    wp, ws = (low, high) if band_type == "low-pass" else (high, low)
+    dp, ds = (10.0 ** draw(st.floats(-3.0, -0.5)) for _ in range(2))
+    N = draw(st.integers(1, 12)) * 2 + 1
+    spec = FilterSpec(index=0, band_type=band_type, N=N, wp=wp, ws=ws, dp=dp, ds=ds, Q=14)
+    return spec, build_frequency_grid(spec, draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0])))
+
+
+def edge_bands(band_type, N, wp, ws, dp, ds, density):
+    """Narrow bands at both ends of [0, pi]: ill-conditioned, nearly dual degenerate LPs."""
+    spec = FilterSpec(index=0, band_type=band_type, N=N, wp=wp, ws=ws, dp=dp, ds=ds, Q=14)
+    return spec, build_frequency_grid(spec, density)
+
+
+@settings(max_examples=20, deadline=None)
+@given(drawn=small_specs())
+@example(drawn=edge_bands("low-pass", 17, 0.05, 0.9484674720311836, 0.01539926526059492,
+                          0.014330125702369627, 2.0))
+@example(drawn=edge_bands("high-pass", 15, 0.95, 0.05, 0.001703778816903655, 0.001, 8.0))
+def test_drawn_bounds_equal_one_by_one_solves_bit_for_bit(drawn):
+    """On feasible drawn specs the pool returns the optima of scipy's `linprog`,
+    one LP at a time, whichever way each LP's basis is found.  The two
+    examples each had one LP whose basis passed a dual margin of 1e-8
+    (its least dual was 4.0e-8 and 4.9e-8) and was not the cold one."""
+    from scipy.optimize import linprog
+
+    spec, grid = drawn
+    A, b = _band_rows(spec, grid)
+    n = spec.M + 1
+    box = [(-1.0, 1.0)] * n
+    assume(linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=box, method="highs").status == 0)
+    expected = np.empty(2 * n)
+    for j, (i, sign) in enumerate((i, sign) for i in range(n) for sign in (1, -1)):
+        c = np.zeros(n)
+        c[i] = sign
+        expected[j] = scipy_linprog(c, A, b, box).fun
+    bounds = coefficient_bounds(spec, grid)
+    assert bounds.lower.tobytes() == expected[0::2].tobytes()
+    assert bounds.upper.tobytes() == (-expected[1::2]).tobytes()
 
 
 def test_bound_optimality_via_added_constraint(designed):

@@ -8,7 +8,7 @@ import pytest
 
 import firlock.evaluate
 from firlock.decoys import DecoyMethod, assign_decoys
-from firlock.design import quantization_deviation_bound, response_matrix
+from firlock.design import response_matrix
 from firlock.evaluate import (
     behavior_report,
     effective_coefficients,
@@ -19,7 +19,7 @@ from firlock.evaluate import (
 )
 from firlock.tmcm import SecretKey, build_tmcm, simulate_filter, tmcm_select
 
-from conftest import EVAL_SEED, WriteLog, make_quantized
+from conftest import EVAL_SEED, WriteLog, make_quantized, quantization_deviation_bound
 from oracles import direct_dft_audit
 
 
