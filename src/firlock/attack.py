@@ -48,7 +48,6 @@ __all__ = [
     "compile_report",
     "extract_bit",
     "extract_constants",
-    "fit_hub_threshold",
     "infer_key_slices",
     "recover_coefficient",
 ]
@@ -338,20 +337,6 @@ def classify_dsm(R: RecoveredConstantSets) -> DsmVerdict:
     }
     label = "HD-like" if hub_fraction >= HD_THRESHOLD else "non-HD"
     return DsmVerdict(label=label, score=hub_fraction, features=features)
-
-
-def fit_hub_threshold(hd_scores, other_scores) -> float:
-    """Decision threshold maximizing training accuracy on two score sets."""
-    candidates = sorted(set(hd_scores) | set(other_scores))
-    best_t, best_acc = 0.5, -1.0
-    edges = [0.0] + [
-        (a + b) / 2 for a, b in zip(candidates, candidates[1:])
-    ] + [1.0]
-    for t in edges:
-        acc = sum(s >= t for s in hd_scores) + sum(s < t for s in other_scores)
-        if acc > best_acc:
-            best_acc, best_t = acc, t
-    return best_t
 
 
 @dataclass(frozen=True)

@@ -283,11 +283,11 @@ def _csc(A):
     return indptr, rows.astype(np.int32), A[rows, cols]
 
 
-def _model(A, row_lower, row_upper, box, presolve: str, options=_LP_OPTIONS):
+def _model(A, row_lower, row_upper, box, presolve: str):
     """A HiGHS model of ``row_lower <= A x <= row_upper``, ``box[0] <= x <= box[1]``, cost 0.
 
     Built as `scipy.optimize.linprog` builds its model: the same CSC
-    arrays, and its options for method ``"highs"`` with ``options``.
+    arrays, and its options for method ``"highs"`` with ``_LP_OPTIONS``.
     """
     highs = _highs()
     lp = highs.HighsLp()
@@ -305,7 +305,7 @@ def _model(A, row_lower, row_upper, box, presolve: str, options=_LP_OPTIONS):
         "log_to_console": False,
         "output_flag": False,
         "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        **options,
+        **_LP_OPTIONS,
     }
     for name, value in options.items():
         if model.setOptionValue(name, value) == highs.HighsStatus.kError:
@@ -336,17 +336,17 @@ def _solution(model, infeasible: str):
     return model.getSolution()
 
 
-def linprog(c, A_ub, b_ub, bounds, method="highs", options=_LP_OPTIONS):
+def linprog(c, A_ub, b_ub, bounds):
     """`scipy.optimize.linprog`'s model for method ``"highs"``, after its run (see `_solution`).
 
-    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``.  It takes
-    scipy's arguments; HiGHS is the only ``method``.  It solves without
-    the presolve that scipy runs.  On the design LPs of filters 1-3
-    presolve removes nothing and the optimum has the bits of scipy's
-    solve; on another LP the two runs can stop at different optima.
+    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``, with the
+    options `_model` sets.  It solves without the presolve that scipy
+    runs.  On the design LPs of filters 1-3 presolve removes nothing and
+    the optimum has the bits of scipy's solve; on another LP the two runs
+    can stop at different optima.
     """
     box = np.array(bounds, dtype=float).T
-    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "off", options), c)
+    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "off"), c)
 
 
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
@@ -365,7 +365,7 @@ def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficien
     c[-1] = -1.0
     bounds = [(-1.0, 1.0)] * n_h + [(0.0, min(spec.dp, spec.ds))]
     solution = _solution(
-        linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds, method="highs", options=_LP_OPTIONS),
+        linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds),
         f"no length-{spec.N} {spec.band_type} filter satisfies the spec on this grid",
     )
     h = np.array(solution.col_value[:n_h])
@@ -596,6 +596,10 @@ class QuantizedFilter:
             for v in d[name]:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ValueError(f"quantized filter {name} must hold integers, got {v!r}")
+                if not -(1 << 63) <= v < 1 << 63:
+                    raise ValueError(
+                        f"quantized filter {name} entry {v} does not fit in 64 signed bits"
+                    )
         qf = cls(
             coeffs=np.asarray(d["coeffs"], dtype=np.int64),
             bounds_l=np.asarray(d["bounds_l"], dtype=np.int64),

@@ -36,7 +36,6 @@ __all__ = [
     "GateNetlist",
     "NetlistBuilder",
     "PackedEvaluator",
-    "const_mask",
     "lower_to_gates",
     "pack_bits",
     "pack_value_bits",
@@ -351,7 +350,8 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
     second tree over the primary select i picks among coefficients
     (out-of-range selects read as zero), and a signed array multiplier
     forms the product with x.  For every (i, k, x) the gate-level output
-    equals ``tmcm_multiply`` mod 2**(cbw+ibw).
+    equals the constant that key k selects for index i (`tmcm_select`)
+    times x, mod 2**(cbw+ibw).
     """
     b = NetlistBuilder()
     i_bits = b.add_input("i", tmcm.select_width)
@@ -395,11 +395,6 @@ def pack_value_bits(values: np.ndarray, width: int) -> list:
     """Per-bit lane masks for a vector of ``width``-bit values."""
     values = np.asarray(values).astype(np.uint64)
     return [pack_bits((values >> np.uint64(t)) & np.uint64(1)) for t in range(width)]
-
-
-def const_mask(bit: int, width: int) -> int:
-    """All-lanes mask for a constant input bit."""
-    return ((1 << width) - 1) if bit else 0
 
 
 def _bit_rows(sets: list, n_bits: int) -> np.ndarray:

@@ -31,9 +31,7 @@ __all__ = [
     "build_tmcm",
     "clog2",
     "key_offsets",
-    "reference_convolution",
     "simulate_filter",
-    "tmcm_multiply",
     "tmcm_select",
 ]
 
@@ -219,14 +217,6 @@ def tmcm_select(tmcm: ObfuscatedTMCM, i: int, key) -> int:
     return tmcm.mux_tables[i][SecretKey(_key_bits(key), tmcm.key_widths).slice_value(i)]
 
 
-def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key, x: int) -> int:
-    """Selected constant times x, exact integer arithmetic."""
-    half = 1 << (tmcm.ibw - 1)
-    if not -half <= x < half:
-        raise ValueError(f"input {x} does not fit in {tmcm.ibw} signed bits")
-    return tmcm_select(tmcm, i, key) * int(x)
-
-
 def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
     """Run the folded filter around ``tmcm``; one output per input sample.
 
@@ -265,12 +255,3 @@ def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
         slots[:, :-1] = slots[:, 1:]
         slots[:, -1] = 0
     return out[0] if single else out
-
-
-def reference_convolution(coeffs, inputs) -> np.ndarray:
-    """Direct convolution ``y(j) = sum_i coeffs[i] * x(j - i)``; the oracle."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    xs = np.asarray(inputs, dtype=np.int64)
-    if len(xs) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.convolve(xs, coeffs)[: len(xs)]

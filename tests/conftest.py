@@ -62,6 +62,20 @@ def quantization_deviation_bound(M: int, Q: int) -> float:
     return 2.0 * (M + 1) * 2.0 ** (-Q)
 
 
+def fit_hub_threshold(hd_scores, other_scores) -> float:
+    """Decision threshold maximizing training accuracy on two score sets."""
+    candidates = sorted(set(hd_scores) | set(other_scores))
+    best_t, best_acc = 0.5, -1.0
+    edges = [0.0] + [
+        (a + b) / 2 for a, b in zip(candidates, candidates[1:])
+    ] + [1.0]
+    for t in edges:
+        acc = sum(s >= t for s in hd_scores) + sum(s < t for s in other_scores)
+        if acc > best_acc:
+            best_acc, best_t = acc, t
+    return best_t
+
+
 def lowered(tmcm):
     """`lower_to_gates`, validated: the builder does not check its own output."""
     nl = lower_to_gates(tmcm)

@@ -1,16 +1,44 @@
 """Independent oracles the tests check the production paths against.
 
-Nothing in here shares code with the package: the simplex solver is a
-dense two-phase textbook tableau (production builds its HiGHS models on
-scipy's private ``_highspy._core`` extension, loaded without
-``scipy.optimize``), the feasibility probe is plain lattice enumeration,
-the wrong-key audit builds each band's DFT matrix in one expression, and
-the constant-recovery oracle inverts the netlist truth table outright.
+No oracle computes its answer the way the path it checks does: the
+simplex solver is a dense two-phase textbook tableau (production builds
+its HiGHS models on scipy's private ``_highspy._core`` extension, loaded
+without ``scipy.optimize``), the feasibility probe is plain lattice
+enumeration, the wrong-key audit builds each band's DFT matrix in one
+expression, and the constant-recovery oracle inverts the netlist truth
+table outright.  The word-level product `tmcm_multiply` (the selected
+constant times x, in exact integers) is what the gate-level lowering
+must equal, and `reference_convolution` (``np.convolve``) is what the
+folded filter must equal.  `const_mask` holds one input bit constant
+across all lanes of a `PackedEvaluator` run.
 """
 
 import numpy as np
 
-from firlock.netlist import PackedEvaluator, const_mask, pack_value_bits
+from firlock.netlist import PackedEvaluator, pack_value_bits
+from firlock.tmcm import ObfuscatedTMCM, tmcm_select
+
+
+def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key, x: int) -> int:
+    """Selected constant times x, exact integer arithmetic."""
+    half = 1 << (tmcm.ibw - 1)
+    if not -half <= x < half:
+        raise ValueError(f"input {x} does not fit in {tmcm.ibw} signed bits")
+    return tmcm_select(tmcm, i, key) * int(x)
+
+
+def reference_convolution(coeffs, inputs) -> np.ndarray:
+    """Direct convolution ``y(j) = sum_i coeffs[i] * x(j - i)``; the oracle."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    xs = np.asarray(inputs, dtype=np.int64)
+    if len(xs) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.convolve(xs, coeffs)[: len(xs)]
+
+
+def const_mask(bit: int, width: int) -> int:
+    """All-lanes mask for a constant input bit."""
+    return ((1 << width) - 1) if bit else 0
 
 
 def simplex_solve(c, A, b, lo, hi, tol=1e-9, max_iter=200000):

@@ -9,14 +9,13 @@ import shutil
 import time
 
 import numpy as np
-from oracles import invert_truth_table
+from oracles import invert_truth_table, reference_convolution
 
 from firlock.attack import (
     RecoveredConstantSets,
     classify_dsm,
     compile_report,
     extract_constants,
-    fit_hub_threshold,
 )
 from firlock.cli import BENCH_KEY_BITS, bundled_spec_text, main
 from firlock.decoys import DecoyMethod, assign_decoys
@@ -26,12 +25,13 @@ from firlock.design import (
     verify_response,
 )
 from firlock.evaluate import behavior_report, sample_wrong_keys, single_slice_corruptions
-from firlock.tmcm import build_tmcm, reference_convolution, simulate_filter
+from firlock.tmcm import build_tmcm, simulate_filter
 
 from conftest import (
     ATTACK_SEED,
     DECOY_SEED,
     EVAL_SEED,
+    fit_hub_threshold,
     lowered,
     make_quantized,
     quantization_deviation_bound,

@@ -21,7 +21,6 @@ from firlock.attack import (
     compile_report,
     extract_bit,
     extract_constants,
-    fit_hub_threshold,
     infer_key_slices,
     recover_coefficient,
 )
@@ -37,7 +36,7 @@ from firlock.netlist import (
 )
 from firlock.tmcm import ObfuscatedTMCM, build_tmcm
 
-from conftest import ATTACK_SEED, lowered, make_quantized, small_tmcms
+from conftest import ATTACK_SEED, fit_hub_threshold, lowered, make_quantized, small_tmcms
 
 
 def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):

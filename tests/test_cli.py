@@ -508,9 +508,14 @@ def test_obfuscate_mbw_beyond_candidate_limit_exit_2(tmp_path, design_dir, capsy
         (lambda d: d.update(N=29.5), "quantized filter N must be an integer, got 29.5"),
         (lambda d: d.update(Q=14.9), "quantized filter Q must be an integer, got 14.9"),
         (lambda d: d.update(Q=True), "quantized filter Q must be an integer, got True"),
+        (lambda d: d.update(coeffs=[1 << 70, *d["coeffs"][1:-1], 1 << 70]),
+         f"coeffs entry {1 << 70} does not fit in 64 signed bits"),
+        (lambda d: d.update(bounds_u=[1 << 70, *d["bounds_u"][1:-1], 1 << 70]),
+         f"bounds_u entry {1 << 70} does not fit in 64 signed bits"),
     ],
     ids=["coeff-float", "bound-str", "mbw-wider", "Q-13",
-         "mbw-float", "mbw-whole-float", "N-float", "Q-float", "Q-bool"],
+         "mbw-float", "mbw-whole-float", "N-float", "Q-float", "Q-bool",
+         "coeff-beyond-int64", "bound-beyond-int64"],
 )
 def test_obfuscate_quant_contradicting_itself_exit_2(tmp_path, design_dir, capsys, edit, message):
     bad = _edited(design_dir / "filter1.quant.json", tmp_path / "q.json", edit)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import const_mask, tmcm_multiply
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
@@ -21,10 +22,9 @@ from firlock.netlist import (
     NetlistBuilder,
     PackedEvaluator,
     _signed_multiplier,
-    const_mask,
     pack_value_bits,
 )
-from firlock.tmcm import ObfuscatedTMCM, build_tmcm, key_offsets, tmcm_multiply
+from firlock.tmcm import ObfuscatedTMCM, build_tmcm, key_offsets
 
 from conftest import WriteLog, lowered, make_quantized, small_tmcms
 

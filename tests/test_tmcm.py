@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_convolution, tmcm_multiply
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.tmcm import (
@@ -13,9 +14,7 @@ from firlock.tmcm import (
     SecretKey,
     build_tmcm,
     key_offsets,
-    reference_convolution,
     simulate_filter,
-    tmcm_multiply,
     tmcm_select,
 )
 
