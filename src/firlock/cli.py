@@ -234,7 +234,7 @@ def cmd_attack(args) -> int:
         n = nl.meta["N"]
         if tmcm.N != n:
             raise ValueError(f"ground truth has {tmcm.N} coefficients but the netlist has N={n}")
-        truth = [tm.tmcm_select(tmcm, i, key) for i in range(n)]
+        truth = [tm.tmcm_select(tmcm, i, key.bits) for i in range(n)]
     recovered, verdict, report = _attack(nl, args.seed_attack, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

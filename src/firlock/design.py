@@ -283,11 +283,13 @@ def _csc(A):
     return indptr, rows.astype(np.int32), A[rows, cols]
 
 
-def _model(A, row_lower, row_upper, box, presolve: str):
+def _model(A, row_lower, row_upper, box):
     """A HiGHS model of ``row_lower <= A x <= row_upper``, ``box[0] <= x <= box[1]``, cost 0.
 
     Built as `scipy.optimize.linprog` builds its model: the same CSC
-    arrays, and its options for method ``"highs"`` with ``_LP_OPTIONS``.
+    arrays, and its options for method ``"highs"`` with ``_LP_OPTIONS``,
+    except that presolve is off.  A run from a basis skips presolve
+    anyway, and the design LP runs without it (see `linprog`).
     """
     highs = _highs()
     lp = highs.HighsLp()
@@ -300,7 +302,7 @@ def _model(A, row_lower, row_upper, box, presolve: str):
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     model = highs._Highs()
     options = {
-        "presolve": presolve,
+        "presolve": "off",
         "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
         "log_to_console": False,
         "output_flag": False,
@@ -336,17 +338,15 @@ def _solution(model, infeasible: str):
     return model.getSolution()
 
 
-def linprog(c, A_ub, b_ub, bounds):
-    """`scipy.optimize.linprog`'s model for method ``"highs"``, after its run (see `_solution`).
+def linprog(c, A, b, box):
+    """The `_model` of ``A x <= b`` and ``box`` after a run that minimizes ``c @ x`` (see `_solution`).
 
-    Minimizes ``c @ x`` s.t. ``A_ub x <= b_ub`` and ``bounds``, with the
-    options `_model` sets.  It solves without the presolve that scipy
-    runs.  On the design LPs of filters 1-3 presolve removes nothing and
-    the optimum has the bits of scipy's solve; on another LP the two runs
-    can stop at different optima.
+    It is `scipy.optimize.linprog`'s model for method ``"highs"``, solved
+    without the presolve that scipy runs.  On the design LPs of filters
+    1-3 presolve removes nothing and the optimum has the bits of scipy's
+    solve; on another LP the two runs can stop at different optima.
     """
-    box = np.array(bounds, dtype=float).T
-    return _run(_model(A_ub, np.full(len(b_ub), -np.inf), b_ub, box, "off"), c)
+    return _run(_model(A, np.full(len(b), -np.inf), b, box), c)
 
 
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
@@ -363,9 +363,10 @@ def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficien
     A_lp = np.hstack([A, np.ones((n_rows, 1))])
     c = np.zeros(n_h + 1)
     c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * n_h + [(0.0, min(spec.dp, spec.ds))]
+    box = np.full(n_h + 1, -1.0), np.full(n_h + 1, 1.0)
+    box[0][-1], box[1][-1] = 0.0, min(spec.dp, spec.ds)
     solution = _solution(
-        linprog(c, A_ub=A_lp, b_ub=b, bounds=bounds),
+        linprog(c, A_lp, b, box),
         f"no length-{spec.N} {spec.band_type} filter satisfies the spec on this grid",
     )
     h = np.array(solution.col_value[:n_h])
@@ -398,8 +399,8 @@ def _basis_statuses(codes) -> list:
 def _unique_basis(R, lo, hi, box, cost, n_pass: int):
     """The unique optimal basis of ``min cost @ h`` s.t. ``lo <= R h <= hi``, ``box``; else None.
 
-    The basis is found on a small ranged model, presolve off, of each
-    band's last row and every k-th row, k such that each band gives about
+    The basis is found on a small ranged model of each band's last row
+    and every k-th row, k such that each band gives about
     `_SEED_ROWS_PER_TAP` rows per tap (``n_pass`` passband rows come
     first).  After each run, every run of consecutive rows of one band
     whose slack ``R h`` to ``lo`` or ``hi`` is below `_UNIQUE_MARGIN`
@@ -423,7 +424,7 @@ def _unique_basis(R, lo, hi, box, cost, n_pass: int):
     for start, stop in ((0, n_pass), (n_pass, n_rows)):
         in_model[start:stop:stride] = in_model[stop - 1] = True
     rows = np.flatnonzero(in_model)
-    model = _model(R[rows], lo[rows], hi[rows], box, "off")
+    model = _model(R[rows], lo[rows], hi[rows], box)
     model.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
     for _ in range(_MAX_ROUNDS):
         model.run()
@@ -470,16 +471,16 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     * `_unique_basis` finds it on a small model of a few grid rows,
       built for the call, when the basis is provably the only optimal
       one, so that every way of solving the LP ends on it;
-    * otherwise the ranged model built here, presolve off, solves the
-      whole LP cold (no basis or solution kept from the last call).  A
-      degenerate LP needs this: which of its optimal bases it ends on,
-      and so the bits of its optimum, depend on how it is solved.
+    * otherwise the ranged model built here solves the whole LP cold (no
+      basis or solution kept from the last call).  A degenerate LP needs
+      this: which of its optimal bases it ends on, and so the bits of its
+      optimum, depend on how it is solved.
 
-    The original model built here, the LP that `linprog` builds with
-    presolve on, then starts cold from that basis mapped onto the row
-    pairs.  HiGHS skips presolve when it is given a basis, and from an
-    optimal one it does what a fresh run does after postsolve, so every
-    optimum has the bits of a `scipy.optimize.linprog` solve.
+    The original model built here, the LP that `linprog` builds, then
+    starts cold from that basis mapped onto the row pairs.  From an
+    optimal basis HiGHS does what a fresh `scipy.optimize.linprog` run,
+    presolve on, does after postsolve, so every optimum has the bits of
+    such a solve.
 
     A ranged row at its upper (lower) bound makes its upper (lower)
     half nonbasic at that half's upper bound, the other half basic; a
@@ -491,8 +492,8 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     R, lo, hi, upper, lower = _ranged_rows(spec, grid)
     A, b = _band_rows(spec, grid)
     box = np.full(spec.M + 1, -1.0), np.full(spec.M + 1, 1.0)
-    ranged = _model(R, lo, hi, box, "off")
-    original = _model(A, np.full(len(A), -np.inf), b, box, "on")
+    ranged = _model(R, lo, hi, box)
+    original = _model(A, np.full(len(A), -np.inf), b, box)
     S = _highs().HighsBasisStatus
     infeasible = "bound LP infeasible; design the filter first"
 
@@ -534,10 +535,10 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     LP finds its optimal basis on a small model of a few grid rows when
     no other basis is optimal (`_unique_basis`; 27 / 55 / 92 of filter
     1 / 2 / 3's 30 / 60 / 106 LPs), else cold on the ranged model (one
-    row per grid point, half the rows, no presolve).  It finishes on the
-    original LP from that basis, with the bits of scipy's `linprog`.  No
-    model keeps a basis from one LP to the next, so no optimum depends on
-    which worker solves it or after what.  Only the index of the task
+    row per grid point, half the rows).  It finishes on the original LP
+    from that basis, with the bits of scipy's `linprog`.  No model keeps
+    a basis from one LP to the next, so no optimum depends on which
+    worker solves it or after what.  Only the index of the task
     ``(i, sign)`` and the optimum cross between the processes.
     """
     n = spec.M + 1

@@ -115,15 +115,14 @@ def single_slice_corruptions(secret: SecretKey) -> list:
     return keys
 
 
-def effective_coefficients(tmcm: ObfuscatedTMCM, key) -> np.ndarray:
-    """Taps realized under ``key``, probed through the step response.
+def effective_coefficients(tmcm: ObfuscatedTMCM, keys) -> np.ndarray:
+    """Taps realized under each of the key-bus ints ``keys``, probed through the step response.
 
-    Equals ``tmcm_select`` per index for any key: the step makes output
-    j the running sum of the first j+1 selected constants.  Like
-    `simulate_filter`, a sequence of keys gives one row of taps per key
-    from one run.
+    One row of taps per key, from one `simulate_filter` run.  Row k
+    equals ``tmcm_select`` per index for key k: the step makes output j
+    the running sum of the first j+1 selected constants.
     """
-    y = simulate_filter(tmcm, key, np.ones(tmcm.N, dtype=np.int64))
+    y = simulate_filter(tmcm, keys, np.ones(tmcm.N, dtype=np.int64))
     return np.diff(y, prepend=0)
 
 

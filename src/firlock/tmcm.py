@@ -125,10 +125,11 @@ class ObfuscatedTMCM:
             raise ValueError(f"input bit-width ibw must be at least 2, got {self.ibw}")
         width = self.cbw + self.ibw + clog2(self.N)
         if width > 63:
-            raise ValueError(
-                f"output width cbw + ibw + clog2(N) = {width} exceeds 63 bits; "
-                f"ibw may be at most {self.ibw - (width - 63)} here"
-            )
+            most = self.ibw - (width - 63)
+            fix = f"ibw may be at most {most} here"
+            if most < 2:  # no ibw fits: cbw is too wide
+                fix = f"cbw may be at most {61 - clog2(self.N)} here, at the least ibw, 2"
+            raise ValueError(f"output width cbw + ibw + clog2(N) = {width} exceeds 63 bits; {fix}")
         for i, table in enumerate(self.mux_tables):
             n = len(table)
             if n < 1 or n & (n - 1):
@@ -206,19 +207,15 @@ def build_tmcm(
     return tmcm, SecretKey(bits=key_bits, widths=tmcm.key_widths)
 
 
-def _key_bits(key) -> int:
-    return key.bits if isinstance(key, SecretKey) else int(key)
-
-
-def tmcm_select(tmcm: ObfuscatedTMCM, i: int, key) -> int:
-    """Constant chosen by key slice i; the word-level MUX semantics."""
+def tmcm_select(tmcm: ObfuscatedTMCM, i: int, key: int) -> int:
+    """Constant chosen by slice i of the key-bus int ``key``; the word-level MUX semantics."""
     if not 0 <= i < tmcm.N:
         raise ValueError("primary select out of range")
-    return tmcm.mux_tables[i][SecretKey(_key_bits(key), tmcm.key_widths).slice_value(i)]
+    return tmcm.mux_tables[i][SecretKey(key, tmcm.key_widths).slice_value(i)]
 
 
-def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
-    """Run the folded filter around ``tmcm``; one output per input sample.
+def simulate_filter(tmcm: ObfuscatedTMCM, keys, inputs) -> np.ndarray:
+    """Run the folded filter around ``tmcm``: one row per key, one output per input sample.
 
     The folded realization is one TMCM, one adder and N-1 delay
     registers.  Each input sample is held for N clock cycles while a
@@ -229,12 +226,9 @@ def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
     sums never wrap.  Under the secret key this reproduces the exact
     transposed-form convolution.
 
-    ``key`` is one key (a `SecretKey` or key-bus int), giving one output
-    stream, or a sequence of keys, giving one row per key.  Every key
-    runs in the same loop, one filter per row of the slot array.
+    ``keys`` is a sequence of key-bus ints (a `SecretKey`'s ``bits``).
+    Every key runs in the same loop, one filter per row of the slot array.
     """
-    single = isinstance(key, (SecretKey, int, np.integer))
-    keys = [_key_bits(k) for k in ([key] if single else key)]
     offsets = key_offsets(tmcm.key_widths)
     consts = np.array(
         [
@@ -254,4 +248,4 @@ def simulate_filter(tmcm: ObfuscatedTMCM, key, inputs) -> np.ndarray:
         out[:, t] = slots[:, 0]      # TS: emit, then shift the line
         slots[:, :-1] = slots[:, 1:]
         slots[:, -1] = 0
-    return out[0] if single else out
+    return out

@@ -19,8 +19,8 @@ from firlock.netlist import PackedEvaluator, pack_value_bits
 from firlock.tmcm import ObfuscatedTMCM, tmcm_select
 
 
-def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key, x: int) -> int:
-    """Selected constant times x, exact integer arithmetic."""
+def tmcm_multiply(tmcm: ObfuscatedTMCM, i: int, key: int, x: int) -> int:
+    """Constant that the key-bus int ``key`` selects, times x, in exact integer arithmetic."""
     half = 1 << (tmcm.ibw - 1)
     if not -half <= x < half:
         raise ValueError(f"input {x} does not fit in {tmcm.ibw} signed bits")

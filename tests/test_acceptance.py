@@ -79,7 +79,7 @@ def test_criterion_3_correct_key_equivalence(built):
     for index in FILTERS:
         b = built(index, DecoyMethod.HDRD)
         xs = rng.integers(-(2**31), 2**31, size=10_000, dtype=np.int64)
-        got = simulate_filter(b.filt, b.secret, xs)
+        (got,) = simulate_filter(b.filt, [b.secret.bits], xs)
         want = reference_convolution(b.design.qf.coeffs, xs)
         assert np.array_equal(got, want), f"filter {index}: folded output diverges"
     report_pass(3, "exact integer equality with the convolution oracle, 10,000 samples each")
@@ -96,10 +96,10 @@ def test_criterion_4_wrong_key_corruption(built):
                 *single_slice_corruptions(b.secret),
             ]
             step = np.ones(b.tmcm.N, dtype=np.int64)
-            correct_stream = simulate_filter(b.filt, b.secret, step)
+            (correct_stream,) = simulate_filter(b.filt, [b.secret.bits], step)
             for k in keys:
                 assert not np.array_equal(
-                    simulate_filter(b.filt, k, step), correct_stream
+                    simulate_filter(b.filt, [k], step)[0], correct_stream
                 ), f"filter {index}/{dsm.value}: wrong key mimics the step stream"
             report = behavior_report(b.filt, b.secret, spec, keys)
             assert report.violation_fraction == 1.0, (

@@ -98,14 +98,15 @@ def test_design_bound_lp_solver_failure_exit_1(tmp_path, spec_file, capsys, monk
 
 
 def test_design_ranged_bound_lp_failure_exit_1(tmp_path, spec_file, capsys, monkeypatch):
-    # Only the workers' ranged model fails: presolve is off on it and on
-    # the design LP, but the design LP runs in the parent.
+    # Only the workers' ranged models fail: their rows have a finite lower
+    # bound, where the original LP's one-sided rows and the design LP's
+    # have -inf, but the design LP runs in the parent anyway.
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     parent, status = os.getpid(), _Highs.getModelStatus
 
     def ranged_fails(self):
-        ranged = self.getOptionValue("presolve")[1] == "off"
+        ranged = self.getRow(0)[1] != -float("inf")
         return HighsModelStatus.kSolveError if ranged and os.getpid() != parent else status(self)
 
     monkeypatch.setattr(_Highs, "getModelStatus", ranged_fails)
@@ -587,7 +588,8 @@ def _set_entry(d, value):
     d["tmcm"]["mux_tables"][0][0] = value
 
 
-# Each edit writes a TMCM integer field as another type, or cbw/ibw below its minimum.
+# Each edit writes a TMCM integer field as another type, cbw/ibw below its
+# minimum, or a cbw so wide that no ibw of at least 2 fits (N = 29).
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -601,9 +603,10 @@ def _set_entry(d, value):
          "TMCM key_widths entry must be an integer, got 1.0"),
         (lambda d: d["tmcm"].update(cbw=0), "cbw must be at least 1, got 0"),
         (lambda d: d["tmcm"].update(ibw=0), "ibw must be at least 2, got 0"),
+        (lambda d: d["tmcm"].update(cbw=2**70), "exceeds 63 bits; cbw may be at most 56 here"),
     ],
     ids=["entry-float", "entry-bool", "ibw-float", "cbw-bool", "seed-str", "N-float",
-         "key-width-float", "cbw-0", "ibw-0"],
+         "key-width-float", "cbw-0", "ibw-0", "cbw-too-wide"],
 )
 def test_evaluate_secret_tmcm_not_integer_exit_2(tmp_path, obfuscate_dir, capsys, edit, message):
     bad = _edited(obfuscate_dir / "secret-assignment.json", tmp_path / "s.json", edit)

@@ -304,15 +304,16 @@ def test_bounds_optimum_outside_constraints_raises_in_parent(monkeypatch):
 
 
 def test_bounds_ranged_solve_failure_raises_in_parent_and_leaves_no_process(monkeypatch):
-    # Only the ranged model fails, and only in the workers: the original
-    # model never sees a basis.  Presolve is off on it and on the design
-    # LP, but the design LP runs in the parent.
+    # Only the ranged models fail, and only in the workers: the original
+    # model never sees a basis.  Their rows have a finite lower bound,
+    # where the original LP's one-sided rows and the design LP's have
+    # -inf, but the design LP runs in the parent anyway.
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     parent, status = os.getpid(), _Highs.getModelStatus
 
     def ranged_fails(self):
-        ranged = self.getOptionValue("presolve")[1] == "off"
+        ranged = self.getRow(0)[1] != -np.inf
         return HighsModelStatus.kSolveError if ranged and os.getpid() != parent else status(self)
 
     monkeypatch.setattr(_Highs, "getModelStatus", ranged_fails)
@@ -378,7 +379,7 @@ def test_unique_bases_are_the_cold_ranged_bases(monkeypatch, index, density, cer
     grid = build_frequency_grid(spec, density)
     R, lo, hi, _, _ = _ranged_rows(spec, grid)
     n = spec.M + 1
-    ranged = _model(R, lo, hi, (np.full(n, -1.0), np.full(n, 1.0)), "off")
+    ranged = _model(R, lo, hi, (np.full(n, -1.0), np.full(n, 1.0)))
     unique, run = firlock.design._unique_basis, firlock.design._run
     bases, cold_solves = [], []
 

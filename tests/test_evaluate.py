@@ -102,7 +102,7 @@ def test_single_slice_corruptions_cover_every_wrong_value(built):
         diff = [
             i
             for i in range(b.tmcm.N)
-            if tmcm_select(b.tmcm, i, k) != tmcm_select(b.tmcm, i, b.secret)
+            if tmcm_select(b.tmcm, i, k) != tmcm_select(b.tmcm, i, b.secret.bits)
         ]
         assert len(diff) == 1
 
@@ -114,20 +114,21 @@ def test_probe_equals_select_for_any_key(built):
     rng = np.random.default_rng(5)
     keys = [b.secret.bits] + [int(rng.integers(0, 1 << b.tmcm.p)) for _ in range(10)]
     for k in keys:
-        probed = effective_coefficients(b.tmcm, k)
+        (probed,) = effective_coefficients(b.tmcm, [k])
         word = [tmcm_select(b.tmcm, i, k) for i in range(b.tmcm.N)]
         assert list(probed) == word
 
 
 def test_probe_secret_key_gives_design(built):
     b = built(1, DecoyMethod.HDRD)
-    assert list(effective_coefficients(b.tmcm, b.secret)) == list(b.design.qf.coeffs)
+    (taps,) = effective_coefficients(b.tmcm, [b.secret.bits])
+    assert list(taps) == list(b.design.qf.coeffs)
 
 
 def test_slice_flip_corrupts_single_position(built):
     b = built(1, DecoyMethod.HDRD)
     wrong = b.secret.with_slice(4, b.secret.slice_value(4) ^ 1)
-    taps = effective_coefficients(b.tmcm, wrong)
+    (taps,) = effective_coefficients(b.tmcm, [wrong.bits])
     diff = np.nonzero(taps != b.design.qf.coeffs)[0]
     assert list(diff) == [4]
 
@@ -138,7 +139,7 @@ def test_monotone_corruption(built):
     corrupted_counts = []
     for j in (0, 5, 10, 20):
         key = key.with_slice(j, key.slice_value(j) ^ 1)
-        taps = effective_coefficients(b.tmcm, key)
+        (taps,) = effective_coefficients(b.tmcm, [key.bits])
         corrupted_counts.append(int(np.sum(taps != b.design.qf.coeffs)))
     assert corrupted_counts == sorted(corrupted_counts)
     assert corrupted_counts[-1] == 4
@@ -161,7 +162,7 @@ def test_report_simulates_each_key_once(built, monkeypatch):
     simulated = []
 
     def counting(tmcm, keys, inputs):
-        simulated.extend([keys] if isinstance(keys, int) else keys)
+        simulated.extend(keys)
         return simulate_filter(tmcm, keys, inputs)
 
     monkeypatch.setattr(firlock.evaluate, "simulate_filter", counting)
@@ -172,8 +173,8 @@ def test_report_simulates_each_key_once(built, monkeypatch):
     monkeypatch.undo()
     rows = response_matrix(report.curve_w, b.design.spec.M)
     scale = 1 << b.design.spec.Q
-    for key, e in zip([b.secret] + keys, report.entries):
-        taps = effective_coefficients(b.tmcm, key)
+    for key, e in zip([b.secret.bits] + keys, report.entries):
+        (taps,) = effective_coefficients(b.tmcm, [key])
         sym = (taps + taps[::-1]) / 2.0
         assert np.array_equal(e.curve, rows @ (sym[: b.design.spec.M + 1] / scale))
 
@@ -187,7 +188,7 @@ def test_audit_bits_equal_direct_dft_oracle(built, index, dsm):
     spec = b.design.spec
     keys = [*sample_wrong_keys(b.secret, 50, 4, EVAL_SEED), *single_slice_corruptions(b.secret)[:10]]
     report = behavior_report(b.tmcm, b.secret, spec, keys)
-    taps = np.array([[tmcm_select(b.tmcm, i, k) for i in range(spec.N)] for k in [b.secret, *keys]])
+    taps = np.array([[tmcm_select(b.tmcm, i, k) for i in range(spec.N)] for k in [b.secret.bits, *keys]])
     expected = direct_dft_audit(taps, spec, b.design.verify_grid, report.curve_w)
     assert len(report.entries) == len(expected) == 61
     for e, row, (pass_dev, stop_dev, excess, curve) in zip(report.entries, taps, expected):

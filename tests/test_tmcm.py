@@ -88,6 +88,27 @@ def test_table_size_must_be_a_power_of_two(size):
         ObfuscatedTMCM(ibw=4, cbw=4, mux_tables=((1, 2), tuple(range(size))), seed=0)
 
 
+@pytest.mark.parametrize(
+    "cbw, ibw, message, fits",
+    [
+        (2**70, 32, "cbw may be at most 56 here, at the least ibw, 2", (56, 2)),
+        (57, 2, "cbw may be at most 56 here, at the least ibw, 2", (56, 2)),
+        (56, 3, "ibw may be at most 2 here", (56, 2)),
+        (15, 60, "ibw may be at most 43 here", (15, 43)),
+    ],
+    ids=["cbw-2**70", "cbw-57", "ibw-3", "ibw-60"],
+)
+def test_too_wide_output_names_the_width_to_narrow(cbw, ibw, message, fits):
+    # 29 tables: clog2(N) = 5, so cbw + ibw may add up to 58.  The message
+    # blames ibw while some ibw of at least 2 fits, else cbw, and names the
+    # widest value that fits.
+    tables = ((0, 1),) * 29
+    with pytest.raises(ValueError, match=f"exceeds 63 bits; {message}$"):
+        ObfuscatedTMCM(ibw=ibw, cbw=cbw, mux_tables=tables, seed=0)
+    widest_cbw, widest_ibw = fits
+    ObfuscatedTMCM(ibw=widest_ibw, cbw=widest_cbw, mux_tables=tables, seed=0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_tmcm_json_round_trip(data):
@@ -101,7 +122,7 @@ def test_tmcm_json_round_trip(data):
 
 def test_select_secret_yields_coefficients(small_build):
     qf, _, tmcm, key = small_build
-    assert [tmcm_select(tmcm, i, key) for i in range(qf.N)] == list(qf.coeffs)
+    assert [tmcm_select(tmcm, i, key.bits) for i in range(qf.N)] == list(qf.coeffs)
 
 
 def test_select_slice_locality(small_build):
@@ -111,7 +132,7 @@ def test_select_slice_locality(small_build):
             continue
         wrong = key.with_slice(j, key.slice_value(j) ^ 1)
         for i in range(qf.N):
-            got = tmcm_select(tmcm, i, wrong)
+            got = tmcm_select(tmcm, i, wrong.bits)
             if i == j:
                 assert got != qf.coeffs[i]
             else:
@@ -131,22 +152,22 @@ def test_any_wrong_key_hits_a_decoy(small_build):
 
 def test_multiply_values(small_build):
     _, _, tmcm, key = small_build
-    assert tmcm_multiply(tmcm, 0, key, 0) == 0
-    assert tmcm_multiply(tmcm, 1, key, 1) == -2
-    assert tmcm_multiply(tmcm, 2, key, 3) == 15
+    assert tmcm_multiply(tmcm, 0, key.bits, 0) == 0
+    assert tmcm_multiply(tmcm, 1, key.bits, 1) == -2
+    assert tmcm_multiply(tmcm, 2, key.bits, 3) == 15
 
 
 def test_multiply_range_checked(small_build):
     _, _, tmcm, key = small_build
     with pytest.raises(ValueError):
-        tmcm_multiply(tmcm, 0, key, 1 << (tmcm.ibw - 1))
+        tmcm_multiply(tmcm, 0, key.bits, 1 << (tmcm.ibw - 1))
 
 
 # --- folded filter ------------------------------------------------------
 
 def test_step_response_prefix_sums(small_build):
     qf, _, tmcm, key = small_build
-    y = simulate_filter(tmcm, key, [1, 1, 1])
+    (y,) = simulate_filter(tmcm, [key.bits], [1, 1, 1])
     expect = np.cumsum(qf.coeffs)
     assert list(y) == list(expect)
 
@@ -155,7 +176,8 @@ def test_simulation_matches_reference_convolution(small_build):
     qf, _, tmcm, key = small_build
     rng = np.random.default_rng(2)
     xs = rng.integers(-32, 32, size=500)
-    assert np.array_equal(simulate_filter(tmcm, key, xs), reference_convolution(qf.coeffs, xs))
+    (y,) = simulate_filter(tmcm, [key.bits], xs)
+    assert np.array_equal(y, reference_convolution(qf.coeffs, xs))
 
 
 def test_batched_rows_equal_single_key_runs(small_build):
@@ -166,7 +188,7 @@ def test_batched_rows_equal_single_key_runs(small_build):
     _, _, tmcm, key = small_build
     rng = np.random.default_rng(6)
     keys = [
-        key,
+        key.bits,
         *single_slice_corruptions(key),
         *(int(k) for k in rng.integers(0, 1 << tmcm.p, size=20)),
     ]
@@ -175,7 +197,7 @@ def test_batched_rows_equal_single_key_runs(small_build):
     assert rows.shape == (len(keys), len(xs))
     for k, row in zip(keys, rows):
         taps = [tmcm_select(tmcm, i, k) for i in range(tmcm.N)]
-        assert np.array_equal(row, simulate_filter(tmcm, k, xs))
+        assert np.array_equal(row, simulate_filter(tmcm, [k], xs)[0])
         assert np.array_equal(row, reference_convolution(taps, xs))
 
 
@@ -200,13 +222,13 @@ def test_wrong_keys_corrupt_step_stream(built):
 
     b = built(1, DecoyMethod.HDRD)
     step = np.ones(b.tmcm.N, dtype=np.int64)
-    correct = simulate_filter(b.tmcm, b.secret, step)
+    (correct,) = simulate_filter(b.tmcm, [b.secret.bits], step)
     keys = [
         *sample_wrong_keys(b.secret, 1000, max_hd=b.secret.p, seed=21),
         *single_slice_corruptions(b.secret),
     ]
     for k in keys:
-        assert not np.array_equal(simulate_filter(b.tmcm, k, step), correct)
+        assert not np.array_equal(simulate_filter(b.tmcm, [k], step)[0], correct)
 
 
 def test_zero_input_zero_output_any_key(small_build):
@@ -214,7 +236,7 @@ def test_zero_input_zero_output_any_key(small_build):
     rng = np.random.default_rng(3)
     for _ in range(5):
         k = int(rng.integers(0, 1 << tmcm.p))
-        assert not np.any(simulate_filter(tmcm, k, np.zeros(20, dtype=int)))
+        assert not np.any(simulate_filter(tmcm, [k], np.zeros(20, dtype=int)))
 
 
 # --- reference convolution ----------------------------------------------
