@@ -21,6 +21,8 @@ scipy's `linprog`, and so does the design LP on filters 1-3 (see `linprog`).
 A bound LP's optimal basis, which sets those bits, is taken from a small
 model of a few grid rows only when it is provably the LP's only optimal
 basis; a degenerate LP is solved cold on the whole grid (`_bound_solver`).
+Each solver builds its small model once, and every LP passes the same
+seed rows to it afresh.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ _LP_OPTIONS = {
 }
 
 # `_unique_basis`: the margins a basis must clear, primal (ten times the
-# tolerances above) and dual; the grid rows per tap and band its first
-# model holds (every 16th row at the default grid density); and the runs
-# it makes before it leaves the LP to the cold solve.  On drawn specs with
-# narrow bands at both ends of [0, pi], a cold solve stopped on another
-# basis where the accepted one had a dual of 4-5e-8; a dual margin of
-# 1e-6 keeps every basis of filters 1-3 that passes the primal one.
+# tolerances above) and dual; the grid rows per tap and band of the
+# seed LP it starts from (every 16th row at the default grid density);
+# and the runs it makes before it leaves the LP to the cold solve.  On
+# drawn specs with narrow bands at both ends of [0, pi], a cold solve
+# stopped on another basis where the accepted one had a dual of 4-5e-8;
+# a dual margin of 1e-6 keeps every basis of filters 1-3 that passes the
+# primal one.
 _UNIQUE_MARGIN = 1e-8
 _UNIQUE_DUAL_MARGIN = 1e-6
 _SEED_ROWS_PER_TAP = 1
@@ -283,13 +286,10 @@ def _csc(A):
     return indptr, rows.astype(np.int32), A[rows, cols]
 
 
-def _model(A, row_lower, row_upper, box):
-    """A HiGHS model of ``row_lower <= A x <= row_upper``, ``box[0] <= x <= box[1]``, cost 0.
+def _lp(A, row_lower, row_upper, box):
+    """The HiGHS LP ``row_lower <= A x <= row_upper``, ``box[0] <= x <= box[1]``, cost 0.
 
-    Built as `scipy.optimize.linprog` builds its model: the same CSC
-    arrays, and its options for method ``"highs"`` with ``_LP_OPTIONS``,
-    except that presolve is off.  A run from a basis skips presolve
-    anyway, and the design LP runs without it (see `linprog`).
+    Built as `scipy.optimize.linprog` builds its LP, with the same CSC arrays.
     """
     highs = _highs()
     lp = highs.HighsLp()
@@ -300,6 +300,25 @@ def _model(A, row_lower, row_upper, box):
     lp.col_cost_ = np.zeros(A.shape[1])
     lp.col_lower_, lp.col_upper_ = box
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    return lp
+
+
+def _pass(model, lp):
+    """``model`` after `passModel` of ``lp``, which replaces its LP, basis and solution whole."""
+    if model.passModel(lp) == _highs().HighsStatus.kError:
+        raise LPSolverError("HiGHS refused the LP model")
+    return model
+
+
+def _model(lp):
+    """A HiGHS model of ``lp`` (see `_lp`), with the options every model has.
+
+    They are `scipy.optimize.linprog`'s options for method ``"highs"``
+    with ``_LP_OPTIONS``, except that presolve is off.  A run from a
+    basis skips presolve anyway, and the design LP runs without it (see
+    `linprog`).
+    """
+    highs = _highs()
     model = highs._Highs()
     options = {
         "presolve": "off",
@@ -312,9 +331,7 @@ def _model(A, row_lower, row_upper, box):
     for name, value in options.items():
         if model.setOptionValue(name, value) == highs.HighsStatus.kError:
             raise LPSolverError(f"HiGHS refused option {name}={value!r}")
-    if model.passModel(lp) == highs.HighsStatus.kError:
-        raise LPSolverError("HiGHS refused the LP model")
-    return model
+    return _pass(model, lp)
 
 
 def _run(model, cost, basis=None):
@@ -346,7 +363,7 @@ def linprog(c, A, b, box):
     1-3 presolve removes nothing and the optimum has the bits of scipy's
     solve; on another LP the two runs can stop at different optima.
     """
-    return _run(_model(A, np.full(len(b), -np.inf), b, box), c)
+    return _run(_model(_lp(A, np.full(len(b), -np.inf), b, box)), c)
 
 
 def design_coefficients(spec: FilterSpec, grid: FrequencyGrid) -> RealCoefficients:
@@ -390,63 +407,62 @@ class BoundSet:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def _basis_statuses(codes) -> list:
-    """The HiGHS basis statuses of the int ``codes``."""
-    by_code = sorted(_highs().HighsBasisStatus.__members__.values(), key=int)
-    return np.array(by_code, dtype=object)[codes].tolist()
+def _least_slack_rows(slack, n_pass: int):
+    """The row of least ``slack``, the first on a tie, of each run of consecutive rows below `_UNIQUE_MARGIN`.
+
+    No run crosses from the ``n_pass`` passband rows into the stopband's.
+    """
+    low = np.flatnonzero(slack < _UNIQUE_MARGIN)
+    first = (np.diff(low, prepend=-2) != 1) | (low == n_pass)
+    return low[np.lexsort((slack[low], np.cumsum(first)))[first]]
 
 
-def _unique_basis(R, lo, hi, box, cost, n_pass: int):
+def _unique_basis(small, seed, rows, R, lo, hi, box, cost, n_pass: int):
     """The unique optimal basis of ``min cost @ h`` s.t. ``lo <= R h <= hi``, ``box``; else None.
 
-    The basis is found on a small ranged model of each band's last row
-    and every k-th row, k such that each band gives about
-    `_SEED_ROWS_PER_TAP` rows per tap (``n_pass`` passband rows come
+    The basis is found on the model ``small``, which first takes the LP
+    ``seed`` of ``R``'s ``rows`` (`passModel` replaces the last LP's
+    rows, basis and solution whole; ``n_pass`` passband rows come
     first).  After each run, every run of consecutive rows of one band
     whose slack ``R h`` to ``lo`` or ``hi`` is below `_UNIQUE_MARGIN`
     sends its row of least slack to the model if it is not there yet, and
     the live model runs again from its basis.  Once no row is missing,
-    the rows left out count as basic, and the basis is returned, as a
-    basis of all of ``R``'s rows, only if it is nondegenerate by the
-    margins: every basic row and column lies more than `_UNIQUE_MARGIN`
-    inside its bounds, and every nonbasic one has a dual of more than
-    `_UNIQUE_DUAL_MARGIN`.  Such a basis is optimal for the full LP and
-    no other basis is, so a cold solve of the full LP ends on it too.
-    None stands for any other end: a status other than optimal, a
-    solution of the wrong shape, a margin not met, or `_MAX_ROUNDS` runs
-    without the rows complete.
+    the rows left out count as basic, and the basis is returned as
+    ``(basis, found)``: ``small``'s HiGHS basis, and ``found``, the int8
+    statuses of all of ``R``'s rows.  It is returned only if it is
+    nondegenerate by the margins: every basic row and column lies more
+    than `_UNIQUE_MARGIN` inside its bounds, and every nonbasic one has a
+    dual of more than `_UNIQUE_DUAL_MARGIN`.  Such a basis is optimal for
+    the full LP and no other basis is, so a cold solve of the full LP
+    ends on it too.  None stands for any other end: a status other than
+    optimal, a solution of the wrong shape, a margin not met, or
+    `_MAX_ROUNDS` runs without the rows complete.
     """
     highs = _highs()
     basic = int(highs.HighsBasisStatus.kBasic)
     n_rows, n = R.shape
-    stride = max(n_pass // (_SEED_ROWS_PER_TAP * (2 * n - 1)), 1)
     in_model = np.zeros(n_rows, dtype=bool)
-    for start, stop in ((0, n_pass), (n_pass, n_rows)):
-        in_model[start:stop:stride] = in_model[stop - 1] = True
-    rows = np.flatnonzero(in_model)
-    model = _model(R[rows], lo[rows], hi[rows], box)
-    model.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
+    in_model[rows] = True
+    _pass(small, seed).changeColsCost(n, np.arange(n, dtype=np.int32), cost)
     for _ in range(_MAX_ROUNDS):
-        model.run()
-        if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        small.run()
+        if small.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return None
-        solution = model.getSolution()
+        solution = small.getSolution()
         h = np.asarray(solution.col_value)
         if h.shape != (n,):
             return None
         g = R @ h
         slack = np.minimum(g - lo, hi - g)
-        low = np.flatnonzero(slack < _UNIQUE_MARGIN)
-        runs = np.split(low, np.flatnonzero((np.diff(low) != 1) | (low[1:] == n_pass)) + 1)
-        least = np.array([run[np.argmin(slack[run])] for run in runs if len(run)], dtype=np.intp)
+        least = _least_slack_rows(slack, n_pass)
         new = least[~in_model[least]]
         if len(new):
             in_model[new] = True
             rows = np.append(rows, new)
             starts, index, values = _csc(R[new].T)
-            model.addRows(len(new), lo[new], hi[new], len(values), starts, index, values)
+            small.addRows(len(new), lo[new], hi[new], len(values), starts, index, values)
             continue
-        basis = model.getBasis()
+        basis = small.getBasis()
         found = np.full(n_rows, basic, dtype=np.int8)
         found[rows] = np.fromiter(map(int, basis.row_status), np.int8, len(rows))
         cols = np.fromiter(map(int, basis.col_status), np.int8, n)
@@ -456,8 +472,7 @@ def _unique_basis(R, lo, hi, box, cost, n_pass: int):
         dual = dual[np.concatenate([found[rows], cols]) != basic]
         if not (np.all(primal > _UNIQUE_MARGIN) and np.all(dual > _UNIQUE_DUAL_MARGIN)):
             return None
-        basis.row_status = _basis_statuses(found)
-        return basis
+        return basis, found
     return None
 
 
@@ -468,9 +483,12 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     to ``sign * e_i`` and finds an optimal basis of the ranged LP, one
     row ``lo <= R h <= hi`` per grid point:
 
-    * `_unique_basis` finds it on a small model of a few grid rows,
-      built for the call, when the basis is provably the only optimal
-      one, so that every way of solving the LP ends on it;
+    * `_unique_basis` finds it on the small model built here, which
+      takes the seed LP afresh for every call: each band's last row and
+      every k-th row, k such that each band gives about
+      `_SEED_ROWS_PER_TAP` rows per tap.  It keeps the basis only when
+      it is provably the only optimal one, so that every way of solving
+      the LP ends on it;
     * otherwise the ranged model built here solves the whole LP cold (no
       basis or solution kept from the last call).  A degenerate LP needs
       this: which of its optimal bases it ends on, and so the bits of its
@@ -491,25 +509,36 @@ def _bound_solver(spec: FilterSpec, grid: FrequencyGrid):
     """
     R, lo, hi, upper, lower = _ranged_rows(spec, grid)
     A, b = _band_rows(spec, grid)
+    n_rows, n_pass = len(R), len(grid.passband)
     box = np.full(spec.M + 1, -1.0), np.full(spec.M + 1, 1.0)
-    ranged = _model(R, lo, hi, box)
-    original = _model(A, np.full(len(A), -np.inf), b, box)
+    stride = max(n_pass // (_SEED_ROWS_PER_TAP * spec.N), 1)
+    in_seed = np.zeros(n_rows, dtype=bool)
+    for start, stop in ((0, n_pass), (n_pass, n_rows)):
+        in_seed[start:stop:stride] = in_seed[stop - 1] = True
+    rows = np.flatnonzero(in_seed)
+    seed = _lp(R[rows], lo[rows], hi[rows], box)
+    small = _model(seed)
+    ranged = _model(_lp(R, lo, hi, box))
+    original = _model(_lp(A, np.full(len(A), -np.inf), b, box))
     S = _highs().HighsBasisStatus
+    by_code = np.array(sorted(S.__members__.values(), key=int), dtype=object)
     infeasible = "bound LP infeasible; design the filter first"
 
     def solve(task) -> float:
         i, sign = task
         cost = np.zeros(spec.M + 1)
         cost[i] = sign
-        basis = _unique_basis(R, lo, hi, box, cost, len(grid.passband))
-        if basis is None:
+        unique = _unique_basis(small, seed, rows, R, lo, hi, box, cost, n_pass)
+        if unique is None:
             _solution(_run(ranged, cost), infeasible)
             basis = ranged.getBasis()
-        found = np.fromiter(map(int, basis.row_status), np.int8, len(R))
-        rows = np.full(len(A), int(S.kBasic))
-        rows[upper[found == int(S.kUpper)]] = int(S.kUpper)
-        rows[lower[found == int(S.kLower)]] = int(S.kUpper)
-        basis.row_status = _basis_statuses(rows)
+            found = np.fromiter(map(int, basis.row_status), np.int8, n_rows)
+        else:
+            basis, found = unique
+        statuses = np.full(len(A), int(S.kBasic))
+        statuses[upper[found == int(S.kUpper)]] = int(S.kUpper)
+        statuses[lower[found == int(S.kLower)]] = int(S.kUpper)
+        basis.row_status = by_code[statuses].tolist()
         solution = _solution(_run(original, cost, basis), infeasible)
         violation = max(
             np.max(np.asarray(solution.row_value) - b), np.max(np.abs(solution.col_value)) - 1.0
@@ -529,16 +558,16 @@ def coefficient_bounds(spec: FilterSpec, grid: FrequencyGrid) -> BoundSet:
     tightest interval any feasible symmetric filter confines h_i to.
 
     The 2(M+1) LPs are independent and each runs on one core, so they
-    are solved by `fork_map`'s workers.  The two HiGHS models of
+    are solved by `fork_map`'s workers.  The three HiGHS models of
     `_bound_solver` are built here once, before the fork, so each worker
     inherits its own copies and solves all of its tasks on them.  Each
-    LP finds its optimal basis on a small model of a few grid rows when
-    no other basis is optimal (`_unique_basis`; 27 / 55 / 92 of filter
-    1 / 2 / 3's 30 / 60 / 106 LPs), else cold on the ranged model (one
-    row per grid point, half the rows).  It finishes on the original LP
-    from that basis, with the bits of scipy's `linprog`.  No model keeps
-    a basis from one LP to the next, so no optimum depends on which
-    worker solves it or after what.  Only the index of the task
+    LP finds its optimal basis on the small model, passed the seed rows
+    afresh, when no other basis is optimal (`_unique_basis`; 27 / 55 /
+    92 of filter 1 / 2 / 3's 30 / 60 / 106 LPs), else cold on the ranged
+    model (one row per grid point, half the rows).  It finishes on the
+    original LP from that basis, with the bits of scipy's `linprog`.  No
+    model keeps a basis from one LP to the next, so no optimum depends
+    on which worker solves it or after what.  Only the index of the task
     ``(i, sign)`` and the optimum cross between the processes.
     """
     n = spec.M + 1

@@ -21,6 +21,8 @@ from firlock.design import (
     _bound_solver,
     _LP_OPTIONS,
     _csc,
+    _least_slack_rows,
+    _lp,
     _model,
     _ranged_rows,
     build_frequency_grid,
@@ -379,7 +381,7 @@ def test_unique_bases_are_the_cold_ranged_bases(monkeypatch, index, density, cer
     grid = build_frequency_grid(spec, density)
     R, lo, hi, _, _ = _ranged_rows(spec, grid)
     n = spec.M + 1
-    ranged = _model(R, lo, hi, (np.full(n, -1.0), np.full(n, 1.0)))
+    ranged = _model(_lp(R, lo, hi, (np.full(n, -1.0), np.full(n, 1.0))))
     unique, run = firlock.design._unique_basis, firlock.design._run
     bases, cold_solves = [], []
 
@@ -387,9 +389,13 @@ def test_unique_bases_are_the_cold_ranged_bases(monkeypatch, index, density, cer
         return [list(map(int, basis.row_status)), list(map(int, basis.col_status))]
 
     def recorded(*args):
-        basis = unique(*args)
-        bases.append(None if basis is None else statuses(basis))
-        return basis
+        found = unique(*args)
+        if found is None:
+            bases.append(None)
+        else:
+            basis, rows = found
+            bases.append([rows.tolist(), list(map(int, basis.col_status))])
+        return found
 
     def counted(model, cost, basis=None):
         cold_solves.append(basis is None)
@@ -414,6 +420,71 @@ def test_unique_bases_are_the_cold_ranged_bases(monkeypatch, index, density, cer
             cost[i] = sign
             assert bases[0] == statuses(run(ranged, cost).getBasis())
     assert paths == {"unique": certified, "cold": cold}
+
+
+def test_each_bound_lp_starts_from_the_seed_rows_and_no_basis(monkeypatch):
+    """Two LPs on one solver: the first adds rows to the small model, and
+    the second's first run still sees only the seed rows, with no basis
+    kept from the first.  Its small-model runs are those of a fresh
+    solver, iteration for iteration, so HiGHS kept no basis of its own."""
+    from scipy.optimize._highspy._core import _Highs
+
+    spec = reference_spec(1)
+    grid = build_frequency_grid(spec)
+    n_rows = 2 * len(grid.passband)
+    run, runs = _Highs.run, []
+
+    def recorded(self):
+        lp = self.getLp()
+        matrix = lp.a_matrix_
+        before = {
+            "rows": lp.num_row_,
+            "lp": [np.asarray(v).tobytes() for v in (
+                lp.row_lower_, lp.row_upper_, matrix.start_, matrix.index_, matrix.value_
+            )],
+            "basis": self.getBasis().valid,
+        }
+        status = run(self)
+        if lp.num_row_ < n_rows:
+            runs.append({
+                **before,
+                "iterations": self.getInfo().simplex_iteration_count,
+                "h": np.asarray(self.getSolution().col_value).tobytes(),
+            })
+        return status
+
+    def small_runs(solve, task):
+        runs.clear()
+        solve(task)
+        return list(runs)
+
+    monkeypatch.setattr(_Highs, "run", recorded)
+    solve = _bound_solver(spec, grid)
+    first = small_runs(solve, (0, 1))
+    second = small_runs(solve, (0, -1))
+    assert len(first) > 1 and first[-1]["rows"] > first[0]["rows"]
+    assert second[0]["lp"] == first[0]["lp"] and not second[0]["basis"]
+    assert second == small_runs(_bound_solver(spec, grid), (0, -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    slack=st.lists(st.sampled_from([-1e-9, -0.0, 0.0, 2e-9, 5e-9, 1e-8, 1.0, np.nan]), max_size=40),
+    data=st.data(),
+)
+@example(slack=[], data=None)
+@example(slack=[1.0, 1.0], data=None)
+@example(slack=[0.0, -0.0, 0.0, 1.0], data=None)
+def test_least_slack_rows_equal_the_loop_over_runs(slack, data):
+    """The one-sort pick equals a loop of `np.argmin` over the runs, ties and
+    empty rounds included, with no run across the band boundary."""
+    slack = np.array(slack, dtype=float)
+    n_pass = data.draw(st.integers(0, len(slack))) if data else len(slack) // 2
+    low = np.flatnonzero(slack < 1e-8)
+    runs = np.split(low, np.flatnonzero((np.diff(low) != 1) | (low[1:] == n_pass)) + 1)
+    expected = [run[np.argmin(slack[run])] for run in runs if len(run)]
+    got = _least_slack_rows(slack, n_pass)
+    assert got.dtype == np.intp and got.tolist() == expected
 
 
 @st.composite
