@@ -4,6 +4,10 @@ Stages hand data over through files; every JSON artifact echoes the
 run configuration (seeds included) so any output can be regenerated
 byte-identically.  The exit codes are listed in the README ("Exit
 codes"); every error is reported in one line on stderr.
+
+Only `firlock.design`, which every subcommand reads its input with, is
+imported with this module; each command imports the other stages it
+runs, so a process compiles and runs no module it does not use.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from firlock import design as fd
-from firlock import decoys as dc
 from firlock import forkmap as fm
-from firlock import tmcm as tm
-from firlock import netlist as gn
-from firlock import verilog as vg
-from firlock import attack as atk
-from firlock import evaluate as ev
 
 __all__ = ["main", "bundled_spec_text"]
 
@@ -78,6 +76,8 @@ def _parse_quant(doc):
 
 def _parse_netlist(doc):
     """A netlist whose ports match the geometry in its ``meta``, which the attack reads."""
+    from firlock import netlist as gn, tmcm as tm
+
     nl = gn.GateNetlist.from_json_dict(doc)
     missing = {"i", "k", "x"} - nl.inputs.keys() | {"N", "cbw", "ibw"} - nl.meta.keys()
     if missing:
@@ -104,6 +104,8 @@ def _parse_netlist(doc):
 
 def _parse_secret(doc):
     """Spec, TMCM and key of a secret assignment that agree with each other."""
+    from firlock import tmcm as tm
+
     spec = fd.FilterSpec.from_json_dict(doc["spec"])
     tmcm = tm.ObfuscatedTMCM.from_json_dict(doc["tmcm"])
     if spec.N != tmcm.N:
@@ -177,6 +179,8 @@ def cmd_design(args) -> int:
 
 
 def _obfuscate(qf, dsm, p, ibw, seed):
+    from firlock import decoys as dc, netlist as gn, tmcm as tm
+
     da = dc.assign_decoys(qf, p, dsm, seed)
     tmcm, key = tm.build_tmcm(qf, da, ibw, seed + 1)
     nl = gn.lower_to_gates(tmcm)
@@ -184,6 +188,8 @@ def _obfuscate(qf, dsm, p, ibw, seed):
 
 
 def cmd_obfuscate(args) -> int:
+    from firlock import verilog as vg
+
     qf, spec_dict = _load(args.quant, "quantized filter", _parse_quant)
     config = _config_dict(args)
     da, tmcm, key, nl = _obfuscate(qf, args.dsm, args.p, args.ibw, args.seed_obfuscate)
@@ -216,6 +222,8 @@ def cmd_obfuscate(args) -> int:
 
 def _attack(nl, seed, truth):
     """Extraction, decoy-method verdict (None if inconclusive), report."""
+    from firlock import attack as atk
+
     recovered = atk.extract_constants(nl, seed=seed)
     try:
         verdict = atk.classify_dsm(recovered)
@@ -226,6 +234,8 @@ def _attack(nl, seed, truth):
 
 
 def cmd_attack(args) -> int:
+    from firlock import tmcm as tm
+
     config = _config_dict(args)
     nl = _load(args.netlist, "netlist", _parse_netlist)
     truth = None
@@ -247,6 +257,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from firlock import evaluate as ev
+
     config = _config_dict(args)
     spec, tmcm, key = _load(args.secret, "secret assignment", _parse_secret)
     wrong = ev.sample_wrong_keys(key, args.keys, args.max_hd, args.seed_eval)
@@ -266,10 +278,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     """End-to-end run of the three reference filters, one row per method."""
+    from firlock import evaluate as ev
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     methods = ("hd", "rd", "hdrd") if args.dsm == "all" else (args.dsm,)
-    rows = []
+    rows, secret_violates = [], []
     for index, p in BENCH_KEY_BITS.items():
         spec = fd.FilterSpec.from_json_dict(json.loads(bundled_spec_text(index)))
         _, _, qf = _run_design(spec, args.grid_density)
@@ -293,6 +307,8 @@ def cmd_bench(args) -> int:
                     "violation_fraction": behavior.violation_fraction,
                 }
             )
+        if behavior.entries[0].violates:
+            secret_violates.append(index)
     _write_json(out / "bench.json", {"rows": rows})
     print(f"{'filter':>6} {'p':>4} {'dsm':>5} {'acc':>6} {'vc':>4} {'cdc':>4} "
           f"{'apc':>6} {'wrong-key viol.':>15}")
@@ -300,6 +316,9 @@ def cmd_bench(args) -> int:
         acc = "-" if r["acc"] is None else f"{r['acc']:.2f}"
         print(f"{r['filter']:>6} {r['p']:>4} {r['dsm']:>5} {acc:>6} {r['vc']:>4} "
               f"{r['cdc']:>4} {'2^' + str(r['apc_log2']):>6} {r['violation_fraction']:>15.3f}")
+    for index in secret_violates:
+        print(f"filter {index}: the secret key itself violates the spec, so its "
+              f"wrong-key violation fraction does not measure the decoys")
     return 0
 
 
@@ -338,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--keys", type=int, default=50, help="wrong keys to sample")
     p_eval.add_argument("--max-hd", type=int, default=4)
     p_eval.add_argument("--seed-eval", type=int, default=3)
-    p_eval.add_argument("--curve-points", type=int, default=ev.CURVE_POINTS)
+    p_eval.add_argument("--curve-points", type=int, default=fd.CURVE_POINTS)
     p_eval.add_argument("--verify-density", type=float, default=fd.VERIFY_DENSITY)
     p_eval.add_argument("--out", default=".")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -358,6 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _raised_by(module: str, *names: str) -> tuple:
+    """The exception classes ``names`` of ``firlock.<module>``, or none if
+    that module was never imported, so nothing of it can have raised."""
+    loaded = sys.modules.get(f"firlock.{module}")
+    return () if loaded is None else tuple(getattr(loaded, name) for name in names)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -366,11 +392,11 @@ def main(argv=None) -> int:
     except (fd.InfeasibleSpec, fd.LPSolverError, fm.WorkerLost) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (atk.NoConsistentBit, atk.VerificationMismatch) as exc:
+    except _raised_by("attack", "NoConsistentBit", "VerificationMismatch") as exc:
         print(f"error: extraction failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, MemoryError, ValueError,
-            dc.InsufficientCandidates, dc.EmptyCandidateSet) as exc:
+            *_raised_by("decoys", "InsufficientCandidates", "EmptyCandidateSet")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ All real values are finally quantized to integers by ceiling after
 scaling with 2**Q.
 
 Every LP runs on a `_model` of scipy's private HiGHS extension, loaded
-without ``scipy.optimize`` (`_highs`).  The bound LPs have the bits of
+without importing scipy (`_highs`).  The bound LPs have the bits of
 scipy's `linprog`, and so does the design LP on filters 1-3 (see `linprog`).
 A bound LP's optimal basis, which sets those bits, is taken from a small
 model of a few grid rows only when it is provably the LP's only optimal
@@ -68,6 +68,9 @@ LP_RESIDUAL_TOL = 1e-8
 # ten times finer grid that audits a response against its spec.
 GRID_DENSITY = 16.0
 VERIFY_DENSITY = 160.0
+# Frequencies, evenly spaced over [0, pi], of each key's exported curve
+# (`firlock.evaluate`).
+CURVE_POINTS = 257
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
@@ -259,17 +262,21 @@ def _band_rows(spec: FilterSpec, grid: FrequencyGrid):
 
 
 def _highs():
-    """scipy's private HiGHS extension, loaded without ``scipy.optimize`` (46 MB, 0.4 s).
+    """scipy's private HiGHS extension, loaded without importing scipy.
 
-    It is entered in ``sys.modules`` under its full name, so later calls
+    Only the scipy package's directory is looked up, so neither its
+    ``__init__`` nor ``scipy.optimize`` (46 MB, 0.4 s) runs; a missing
+    scipy is reported as one without the extension.  The module is
+    entered in ``sys.modules`` under its full name, so later calls
     and a later ``import scipy.optimize`` reuse this module object
     instead of loading the extension again.
     """
     name = "scipy.optimize._highspy._core"
     if name not in sys.modules:
-        import scipy
-
-        found = PathFinder.find_spec("_core", [f"{scipy.__path__[0]}/optimize/_highspy"])
+        scipy = importlib.util.find_spec("scipy")
+        found = scipy and PathFinder.find_spec(
+            "_core", [f"{path}/optimize/_highspy" for path in scipy.submodule_search_locations]
+        )
         if found is None:
             raise LPSolverError(f"scipy has no HiGHS extension {name}; firlock needs scipy>=1.17")
         spec = importlib.util.spec_from_file_location(name, found.origin)

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from firlock.design import VERIFY_DENSITY, FilterSpec, build_frequency_grid, response_matrix
+from firlock.design import CURVE_POINTS, VERIFY_DENSITY, FilterSpec, build_frequency_grid, response_matrix
 from firlock.tmcm import ObfuscatedTMCM, SecretKey, simulate_filter
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-8
-
-# Frequencies, evenly spaced over [0, pi], of each key's exported curve.
-CURVE_POINTS = 257
 
 # Up to this ball size the keys are drawn as distinct ranks into the
 # ball's enumeration order (exact uniform sampling without replacement);

@@ -19,11 +19,14 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from firlock.decoys import DecoyAssignment
 from firlock.design import QuantizedFilter, strict_int
+
+if TYPE_CHECKING:
+    from firlock.decoys import DecoyAssignment
 
 __all__ = [
     "ObfuscatedTMCM",

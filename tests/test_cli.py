@@ -148,17 +148,30 @@ def test_design_lp_failure_in_parent_exit_1(tmp_path, spec_file, capsys, monkeyp
 
 
 def test_design_without_highs_extension_exit_1(tmp_path, spec_file, capsys, monkeypatch):
+    import importlib.util
     from importlib.machinery import PathFinder
 
-    find_spec = PathFinder.find_spec
-    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
-    monkeypatch.setattr(
-        PathFinder, "find_spec",
-        lambda name, path=None, target=None: None if name == "_core" else find_spec(name, path, target),
-    )
-    assert main(["design", "--spec", str(spec_file), "--out", str(tmp_path)]) == 1
-    assert "scipy has no HiGHS extension" in _one_line_error(capsys)
-    assert not list(tmp_path.glob("filter1.*.json"))
+    def design_exits_1(out):
+        with monkeypatch.context() as m:
+            m.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+            assert main(["design", "--spec", str(spec_file), "--out", str(out)]) == 1
+        assert "scipy has no HiGHS extension" in _one_line_error(capsys)
+        assert not out.exists()
+
+    # A scipy without the extension, then no scipy installed at all.
+    find_core, find_scipy = PathFinder.find_spec, importlib.util.find_spec
+    with monkeypatch.context() as m:
+        m.setattr(
+            PathFinder, "find_spec",
+            lambda name, path=None, target=None: None if name == "_core" else find_core(name, path, target),
+        )
+        design_exits_1(tmp_path / "no-extension")
+    with monkeypatch.context() as m:
+        m.setattr(
+            importlib.util, "find_spec",
+            lambda name, package=None: None if name == "scipy" else find_scipy(name, package),
+        )
+        design_exits_1(tmp_path / "no-scipy")
 
 
 def test_obfuscate_outputs(obfuscate_dir):
@@ -410,11 +423,65 @@ def test_obfuscate_huge_budget_exit_2_at_once(tmp_path, design_dir, capsys, p):
     assert "candidates exist" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
-def test_cli_import_leaves_out_scipy_stats(module):
-    code = f"import sys, firlock.cli; sys.exit({module!r} in sys.modules)"
+# What a fresh process imports of the package: `firlock.cli`'s start-up
+# set, plus the stage modules of the subcommand it runs.  Without bytecode
+# caches a process compiles every module it imports, used or not.
+STARTUP_MODULES = {"firlock", "firlock.cli", "firlock.design", "firlock.forkmap"}
+STAGE_MODULES = {
+    "import": (),
+    "design": (),
+    "obfuscate": ("decoys", "hamming", "tmcm", "netlist", "verilog"),
+    "attack": ("tmcm", "netlist", "hamming", "attack"),
+    "evaluate": ("tmcm", "evaluate"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_MODULES))
+def test_startup_loads_only_the_stage_modules(tmp_path, spec_file, design_dir, obfuscate_dir,
+                                              command):
+    secret = str(obfuscate_dir / "secret-assignment.json")
+    args = {
+        "design": ["--spec", str(spec_file)],
+        "obfuscate": ["--quant", str(design_dir / "filter1.quant.json"), "--p", "32"],
+        "attack": ["--netlist", str(obfuscate_dir / "netlist.json"), "--ground-truth", secret],
+        "evaluate": ["--secret", secret, "--keys", "5"],
+    }
+    run = "" if command == "import" else (
+        f"if main({[command, *args[command], '--out', str(tmp_path)]!r}):\n"
+        "    sys.exit('failed')\n"
+    )
+    code = (
+        f"import sys\nfrom firlock.cli import main\n{run}"
+        "print(*(m for m in sys.modules if m.split('.')[0] in ('firlock', 'scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = set(out.splitlines()[-1].split())
+    firlock_loaded = {m for m in loaded if m.startswith("firlock")}
+    assert firlock_loaded == STARTUP_MODULES | {f"firlock.{m}" for m in STAGE_MODULES[command]}
+    # design loads scipy's HiGHS extension and nothing else of scipy, not
+    # even the package's __init__; no other subcommand loads scipy at all.
+    scipy_loaded = loaded - firlock_loaded
+    assert "scipy" not in scipy_loaded
+    assert ("scipy.optimize._highspy._core" in scipy_loaded) == (command == "design")
+    assert all(m.startswith("scipy.optimize._highspy._core") for m in scipy_loaded)
+
+
+def test_error_before_a_stage_is_imported_keeps_its_exit_code(tmp_path):
+    # `main` names the attack's exceptions only once `firlock.attack` is
+    # imported; an input error raised before that still exits 2, in one line.
+    code = (
+        "import sys\nfrom firlock.cli import main\n"
+        f"rc = main(['attack', '--netlist', {str(tmp_path / 'nope.json')!r}])\n"
+        "print(rc, 'firlock.attack' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "2 False\n"
+    assert proc.stderr == f"error: netlist file not found: {tmp_path / 'nope.json'}\n"
 
 
 def _design_in_subprocess(cwd, spec_file, before, after):
@@ -841,6 +908,22 @@ def test_bench_filter_1(tmp_path, monkeypatch, capsys):
         {**row, "dsm": "rd", "acc": 0.0, "cdc": 0, "apc_log2": 32},
         {**row, "dsm": "hdrd", "acc": 0.0, "cdc": 0, "apc_log2": 32},
     ]
+
+
+def test_bench_names_a_filter_whose_secret_key_violates(tmp_path, monkeypatch, capsys):
+    # Quantized at Q = 8, filter 1's secret key itself breaks its spec, as
+    # filter 3's does at Q = 14; designing filter 3 takes seconds.
+    spec = {**json.loads(bundled_spec_text(1)), "Q": 8}
+    monkeypatch.setattr("firlock.cli.BENCH_KEY_BITS", {1: 32})
+    monkeypatch.setattr("firlock.cli.bundled_spec_text", lambda index: json.dumps(spec))
+    assert main(["bench", "--dsm", "hd", "--keys", "5", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1].split()[:3] == ["1", "32", "hd"]
+    assert lines[2] == ("filter 1: the secret key itself violates the spec, so its "
+                        "wrong-key violation fraction does not measure the decoys")
+    (row,) = json.loads((tmp_path / "bench.json").read_text())["rows"]
+    assert sorted(row) == ["acc", "apc_log2", "cdc", "dsm", "filter", "p", "vc",
+                           "violation_fraction"]
 
 
 # sha256 of the integer artifacts of filter 1, p = 32, hdrd, and of the
