@@ -469,6 +469,13 @@ def test_startup_loads_only_the_stage_modules(tmp_path, spec_file, design_dir, o
     assert all(m.startswith("scipy.optimize._highspy._core") for m in scipy_loaded)
 
 
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_out_scipy_stats(module):
+    code = f"import sys, firlock.cli; sys.exit({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(firlock.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_error_before_a_stage_is_imported_keeps_its_exit_code(tmp_path):
     # `main` names the attack's exceptions only once `firlock.attack` is
     # imported; an input error raised before that still exits 2, in one line.
