@@ -936,7 +936,8 @@ def test_bench_names_a_filter_whose_secret_key_violates(tmp_path, monkeypatch, c
 # sha256 of the integer artifacts of filter 1, p = 32, hdrd, and of the
 # lowered design at p = 247, rd, where most MUX subtrees repeat.  The
 # files holding LP or BLAS floats (*.float.json, *.verify.json,
-# behavior.json, curves.csv) are left to the rerun tests.
+# behavior.json, curves.csv) are left to the rerun tests;
+# tests/reproduce.py pins filters 2 and 3's float.json by digest.
 PINNED_ARTIFACTS = {
     "d/filter1.quant.json": "95532135afad0f8ca9be850f622c587c0a035cc786d452ebaf6498b7bea11437",
     "o/netlist.json": "f7c3d60c9424e23f9eebcf914722a0fa7b996e34f0a1d96e2734c09718b7d26c",
