@@ -12,7 +12,9 @@ proceeds in stages:
    i and k held, observes every input the scan needs.  The bits are
    decided one at a time by an exhaustive check over the free low bits
    of x -- the desk-scale equivalent of proving a miter bit
-   unsatisfiable; runs of random inputs then spot-check the constants,
+   unsatisfiable -- against a bit-sliced product of the bits decided so
+   far, one int lane mask per product bit; runs of random inputs then
+   spot-check the constants,
    consecutive key slices sharing a run while their constants fit (a
    slice too wide for one run takes several).  Every run is a
    `PackedEvaluator.run` on the one evaluator the attack builds.  The
@@ -35,7 +37,7 @@ import numpy as np
 
 from firlock.forkmap import fork_map
 from firlock.hamming import hamming_distance, hub_element
-from firlock.netlist import GateNetlist, PackedEvaluator, pack_bits, pack_value_bits
+from firlock.netlist import GateNetlist, PackedEvaluator, pack_value_bits
 
 __all__ = [
     "DsmVerdict",
@@ -104,28 +106,51 @@ def infer_key_slices(ev: PackedEvaluator) -> list:
     return slices
 
 
-def extract_bit(observed_j: int, xs_signed, partial: int, j: int) -> int:
-    """Bit j of a constant, given its verified bits 0..j-1.
+def extract_bit(observed_j: int, product_j: int, lanes: int, j: int) -> int:
+    """Bit j of a constant, given the product of its verified bits 0..j-1.
 
-    ``observed_j`` is the netlist's product bit j on lanes x = 0, 1, ...
-    (``xs_signed`` reads them as signed words).  Both candidate values
-    are checked on the first 2**(j+1) lanes, every x with bits 0..j free
-    (all lanes once j reaches ibw).  Setting bit j adds x << j to the
-    product, which carries nothing into bit j, so candidate 1's bit j is
-    candidate 0's flipped where x is odd, which is on the odd lanes.
-    The checked lanes include x = 1, so the two candidates always differ
-    and at most one matches; when neither does, the block is no constant
-    multiplier and `NoConsistentBit` is raised.
+    ``observed_j`` is the netlist's product bit j on lanes x = 0, 1, ...,
+    ``product_j`` the same bit of partial * x, partial being the
+    verified bits, and ``lanes`` masks the lanes checked: the first
+    2**(j+1), every x with bits 0..j free (all lanes once j reaches
+    ibw).  Setting bit j adds x << j to the product, which carries
+    nothing into bit j, so candidate 1's bit j is candidate 0's flipped
+    where x is odd, which is on the odd lanes.  The checked lanes include
+    x = 1, so the two candidates always differ and at most one matches;
+    when neither does, the block is no constant multiplier and
+    `NoConsistentBit` is raised.
     """
-    xs = xs_signed[: 1 << (j + 1)]
-    lanes = (1 << len(xs)) - 1
-    observed = observed_j & lanes
-    bit_j = pack_bits(((np.int64(partial) * xs) >> np.int64(j)) & np.int64(1))
-    if bit_j == observed:
+    diff = (observed_j ^ product_j) & lanes
+    if not diff:
         return 0
-    if bit_j ^ (lanes // 3 << 1) == observed:  # 0b...1010 over 1 or an even number of lanes
+    if diff == lanes // 3 << 1:  # 0b...1010 over 1 or an even number of lanes
         return 1
     raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
+
+
+def _scan(observed, x_planes, lanes) -> int:
+    """The constant's bits 0..cbw-1 (cbw = ``len(lanes)``), LSB first.
+
+    ``observed`` holds the netlist's product bits on lanes x = 0, 1, ...,
+    ``x_planes`` the bits of x read signed, sign-extended to cbw planes,
+    and ``lanes[j]`` the lanes bit j is checked on.  The product of the
+    bits decided so far is kept bit-sliced, one lane mask per product
+    bit mod 2**cbw; each 1 bit j adds x << j to it by a ripple-carry
+    over planes j..cbw-1.
+    """
+    cbw = len(lanes)
+    product = [0] * cbw
+    constant = 0
+    for j in range(cbw):
+        if extract_bit(observed[j], product[j], lanes[j], j):
+            constant |= 1 << j
+            carry = product[j] & x_planes[0]  # plane j itself is not read again
+            for t in range(j + 1, cbw):
+                a, b = product[t], x_planes[t - j]
+                a_b = a ^ b
+                product[t] = a_b ^ carry
+                carry = (a & b) | (a_b & carry)
+    return constant
 
 
 def _spread(value: int, bit_positions) -> int:
@@ -170,7 +195,9 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     One netlist run infers the key slices.  One run per constant, with
     i and k held, observes product bits 0..cbw-1 on
     x = 0 .. 2**min(cbw, ibw) - 1, every input the LSB-first scan reads,
-    and `extract_bit` decides the bits.  Runs of at most
+    and `extract_bit` decides the bits against a bit-sliced running
+    product on the same lane masks, so no bit decision builds an array.
+    Runs of at most
     `SPOT_CHECK_LANES` lanes then spot-check the constants, each on
     ``samples`` random full-width inputs: consecutive slices whose
     constants fit in one run share it, and a slice too wide for one run
@@ -193,9 +220,9 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     ev = PackedEvaluator(nl)
     slices = tuple(tuple(s) for s in infer_key_slices(ev))
     width = 1 << min(cbw, ibw)
-    xs = np.arange(width, dtype=np.int64)
-    xs_signed = _signed(xs, ibw)
-    x_masks = pack_value_bits(xs, ibw)
+    x_masks = pack_value_bits(np.arange(width), ibw)
+    x_planes = (x_masks + x_masks[-1:] * cbw)[:cbw]
+    lanes = [(1 << min(2 << j, width)) - 1 for j in range(cbw)]
 
     def solve_group(group) -> list:
         rows = []
@@ -206,14 +233,12 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
             for v in range(1 << len(bits_i)):
                 k = _spread(v, bits_i)
                 observed = ev.run({"i": i, "k": k, "x": x_masks}, width, range(cbw))
-                partial = 0
                 try:
-                    for j in range(cbw):
-                        partial |= extract_bit(observed[j], xs_signed, partial, j) << j
+                    constant = _scan(observed, x_planes, lanes)
                 except NoConsistentBit as exc:
                     _spot_check(ev, slices, group, rows, samples, seed)
                     raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
-                row.append(_signed(partial, cbw))
+                row.append(_signed(constant, cbw))
         _spot_check(ev, slices, group, rows, samples, seed)
         return rows
 

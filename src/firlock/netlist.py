@@ -37,7 +37,6 @@ __all__ = [
     "NetlistBuilder",
     "PackedEvaluator",
     "lower_to_gates",
-    "pack_bits",
     "pack_value_bits",
 ]
 
@@ -385,16 +384,21 @@ def lower_to_gates(tmcm: ObfuscatedTMCM) -> GateNetlist:
     )
 
 
-def pack_bits(bits: np.ndarray) -> int:
-    """Pack a 0/1 vector into an int, element 0 at bit 0."""
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def pack_value_bits(values: np.ndarray, width: int) -> list:
-    """Per-bit lane masks for a vector of ``width``-bit values."""
-    values = np.asarray(values).astype(np.uint64)
-    return [pack_bits((values >> np.uint64(t)) & np.uint64(1)) for t in range(width)]
+    """Per-bit lane masks for a vector of ``width``-bit values: mask t
+    holds bit t of value n at bit n.
+
+    Values are read as 64-bit two's-complement words, so masks from bit
+    64 on are 0.  One transpose puts each byte of the words in a row of
+    its own, and each mask is packed from its byte's row.
+    """
+    words = np.asarray(values).astype("<u8")
+    rows = words.view(np.uint8).reshape(-1, 8)[:, : -(-width // 8)].T.copy()
+    masks = []
+    for t in range(min(width, 64)):
+        plane = np.packbits((rows[t >> 3] >> (t & 7)) & 1, bitorder="little")
+        masks.append(int.from_bytes(plane.tobytes(), "little"))
+    return masks + [0] * (width - len(masks))
 
 
 def _bit_rows(sets: list, n_bits: int) -> np.ndarray:
@@ -531,9 +535,14 @@ class PackedEvaluator:
         varying = 0
         for name, ids in self.nl.inputs.items():
             masks = input_masks[name]
-            if isinstance(masks, int):
-                masks = [mask if (masks >> t) & 1 else 0 for t in range(len(ids))]
-            elif len(masks) != len(ids):
+            if isinstance(masks, int):  # input nets start at 0: set the one-bits
+                held = masks & ((1 << len(ids)) - 1)
+                while held:
+                    low = held & -held
+                    values[ids[low.bit_length() - 1]] = mask
+                    held ^= low
+                continue
+            if len(masks) != len(ids):
                 raise ValueError(f"port {name} expects {len(ids)} bit masks")
             for nid, m in zip(ids, masks):
                 values[nid] = m

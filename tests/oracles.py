@@ -6,7 +6,11 @@ its HiGHS models on scipy's private ``_highspy._core`` extension, loaded
 without ``scipy.optimize``), the feasibility probe is plain lattice
 enumeration, the wrong-key audit builds each band's DFT matrix in one
 expression, and the constant-recovery oracle inverts the netlist truth
-table outright.  The word-level product `tmcm_multiply` (the selected
+table outright.  `numpy_scan` is the LSB-first scan without bit slicing:
+each bit checked with an int64 product over its lanes.
+`pack_value_bits_per_bit` packs lane masks one bit plane at a time, and
+`reference_schedule` lists an evaluator schedule from one forward and
+one backward pass over the gates.  The word-level product `tmcm_multiply` (the selected
 constant times x, in exact integers) is what the gate-level lowering
 must equal, and `reference_convolution` (``np.convolve``) is what the
 folded filter must equal.  `const_mask` holds one input bit constant
@@ -15,6 +19,7 @@ across all lanes of a `PackedEvaluator` run.
 
 import numpy as np
 
+from firlock.attack import NoConsistentBit
 from firlock.netlist import PackedEvaluator, pack_value_bits
 from firlock.tmcm import ObfuscatedTMCM, tmcm_select
 
@@ -212,3 +217,64 @@ def invert_truth_table(nl, i, k_bits):
         if pack_value_bits(prods, cbw + ibw) == observed:
             matches.append(signed)
     return matches
+
+
+def numpy_scan(observed, xs_signed, cbw: int) -> int:
+    """Bits 0..cbw-1 of the constant whose products with ``xs_signed``
+    (lane n's x, read signed) give the product bit masks ``observed``.
+
+    Bit j is checked on the first 2**(j+1) lanes against bit j of
+    partial * x, partial being bits 0..j-1, in int64: as is (bit 0) or
+    flipped on the odd lanes (bit 1).  Raises `NoConsistentBit` when
+    neither matches.
+    """
+    partial = 0
+    for j in range(cbw):
+        xs = np.asarray(xs_signed, dtype=np.int64)[: 1 << (j + 1)]
+        lanes = (1 << len(xs)) - 1
+        bits = ((np.int64(partial) * xs) >> np.int64(j)) & np.int64(1)
+        bit_j = int.from_bytes(np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little")
+        observed_j = observed[j] & lanes
+        if bit_j == observed_j:
+            continue
+        if bit_j ^ (lanes // 3 << 1) != observed_j:
+            raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
+        partial |= 1 << j
+    return partial
+
+
+def pack_value_bits_per_bit(values, width: int) -> list:
+    """Lane masks of ``width``-bit values, one bit plane at a time: mask t
+    holds bit t of value n, read as a 64-bit two's-complement word, at
+    bit n; masks from bit 64 on are 0."""
+    words = np.asarray(values).astype(np.uint64)
+    masks = []
+    for t in range(width):
+        bits = (words >> np.uint64(t)) & np.uint64(1) if t < 64 else np.zeros(0)
+        masks.append(int.from_bytes(np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little"))
+    return masks
+
+
+def reference_schedule(nl, varying: int, out_bits) -> tuple:
+    """``(held, steps, outputs)`` as `PackedEvaluator` schedules a run whose
+    varying input bits are ``varying`` (bit t for net t + 2), reading
+    ``out_bits``: steps are the nets of the gates that read a varying bit
+    and feed a requested output, held the other gates the steps' operands
+    and the outputs name, both in net-id order."""
+    first = nl.first_gate_id
+    operands = [()] * first + [gate[1:] for gate in nl.gates]
+    varies = [2 <= nid < first and bool((varying >> (nid - 2)) & 1) for nid in range(first)]
+    for ops in operands[first:]:
+        varies.append(any(varies[o] for o in ops))
+    outputs = [nl.outputs[t] for t in out_bits]
+    feeds = [False] * len(operands)
+    for nid in outputs:
+        feeds[nid] = True
+    for nid in range(len(operands) - 1, first - 1, -1):
+        if feeds[nid]:
+            for o in operands[nid]:
+                feeds[o] = True
+    steps = [nid for nid in range(first, len(operands)) if varies[nid] and feeds[nid]]
+    read = {o for nid in steps for o in operands[nid]} | set(outputs)
+    held = sorted(nid for nid in read if nid >= first and not varies[nid])
+    return held, steps, outputs

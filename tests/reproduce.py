@@ -60,6 +60,7 @@ ROWS = [
             --ground-truth run-p247/obf/secret-assignment.json --out run-p247/attack
         firlock evaluate --secret run-p247/obf/secret-assignment.json \
             --keys 500 --max-hd 4 --out run-p247/eval
+        b43b15c75cdf801f5243a7032b6da7127791a85088e4a3a07451454b9c4fce26  run-p247/design/filter1.quant.json
         98b05a8d2b0b69545c9280f7fd156b3e3830173d499f8d18199b0825fe5f465c  run-p247/obf/netlist.json
         d37ace5296d2a55aadd6bb599141defe7000a11bd6ffd9bd927d5e81b601094e  run-p247/obf/design.v
         812a6ffd5948beb7504c4ffca31db9749b308de11699f7d291cefce122b2b6ce  run-p247/obf/key.hex
@@ -75,6 +76,9 @@ ROWS = [
             --dsm hd --p 261 --out run-p261/obf
         fbe9db215f379139d3121f3b95be50a67dc51c01a18427712c02c16a353066d5  run-p261/obf/netlist.json
         4a2cf0e9b32da3b54a067c9cb69016290d0da2c4c61543190d90dfcfde7199e3  run-p261/obf/design.v
+        99260c10f953f1aaef8cccf47eee140c0fef17a42660ff4c247745ce664fe930  run-p261/obf/key.hex
+        3c9319731126ba02a8e47bf33be926ecd4aba42848b27ba4747833bdc6678017  run-p261/obf/layout.json
+        7dd5b935e0e99ad4634ccd6f71712dd50b5891224a7dd9ef1732b6aa8265ee16  run-p261/obf/secret-assignment.json
     """, compare="run-p261/obf", dumps="run-p261/obf/netlist.json run-p261/obf/secret-assignment.json"),
     # Neither a worker's earlier solves nor who loaded HiGHS may move an LP optimum.
     row("filter 2 design", ("plain", "one CPU", "scipy.optimize first"), """

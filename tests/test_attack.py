@@ -1,5 +1,7 @@
 """Attack side: slice inference, LSB-first extraction, hub recovery, reports."""
 
+import hashlib
+import json
 import multiprocessing
 import os
 import tracemalloc
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import invert_truth_table
+from oracles import invert_truth_table, numpy_scan, reference_schedule
 
 from firlock import attack
 from firlock.attack import (
@@ -34,9 +36,18 @@ from firlock.netlist import (
     PackedEvaluator,
     pack_value_bits,
 )
-from firlock.tmcm import ObfuscatedTMCM, build_tmcm
+from firlock.tmcm import ObfuscatedTMCM, build_tmcm, key_offsets
 
-from conftest import ATTACK_SEED, fit_hub_threshold, lowered, make_quantized, small_tmcms
+from conftest import (
+    ATTACK_SEED,
+    DECOY_SEED,
+    PLACEMENT_SEED,
+    REFERENCE_IBW,
+    fit_hub_threshold,
+    lowered,
+    make_quantized,
+    small_tmcms,
+)
 
 
 def build_small(coeffs, p=None, dsm=DecoyMethod.RD, ibw=5, seed=3, spread=2):
@@ -64,17 +75,13 @@ def test_infer_key_slices_matches_builder_layout(built):
 # --- bit extraction -------------------------------------------------------
 
 def observe(nl, i, k):
-    """f_r(i, k, x) per output bit on x = 0 .. 2**min(cbw, ibw) - 1, and x read signed."""
+    """f_r(i, k, x) per output bit on x = 0 .. 2**min(cbw, ibw) - 1, x's bit
+    planes, and the lanes each bit j is checked on: the first 2**(j+1)."""
     cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
     width = 1 << min(cbw, ibw)
-    xs = np.arange(width, dtype=np.int64)
-    masks = {
-        "i": pack_value_bits(np.full(width, i), len(nl.inputs["i"])),
-        "k": pack_value_bits(np.full(width, k), len(nl.inputs["k"])),
-        "x": pack_value_bits(xs, ibw),
-    }
-    xs_signed = np.where(xs >= 1 << (ibw - 1), xs - (1 << ibw), xs)
-    return PackedEvaluator(nl).run(masks, width), xs_signed
+    x = pack_value_bits(np.arange(width), ibw)
+    lanes = [(1 << min(2 << j, width)) - 1 for j in range(cbw)]
+    return PackedEvaluator(nl).run({"i": i, "k": k, "x": x}, width), x, lanes
 
 
 def test_extract_lsb_is_product_at_x_one():
@@ -83,26 +90,61 @@ def test_extract_lsb_is_product_at_x_one():
         for v in range(2):
             k = v << sum(tmcm.key_widths[:i])
             constant = tmcm.mux_tables[i][v]
-            observed, xs = observe(nl, i, k)
-            assert extract_bit(observed[0], xs, 0, 0) == (constant & 1)
+            observed, x, lanes = observe(nl, i, k)
+            assert extract_bit(observed[0], 0, lanes[0], 0) == (constant & 1)
 
 
 def test_extract_bit_constant_five():
     # Constant 5 = 101b: after bit0 = 1, bit 1 resolves to 0 via the
-    # exhaustive check over the two free input bits.
+    # exhaustive check over the two free input bits; 1 * x has x's bit 1.
     qf, da, tmcm, key, nl = build_small([5], p=1)
-    observed, xs = observe(nl, 0, key.slice_value(0))
-    assert extract_bit(observed[0], xs, 0, 0) == 1
-    assert extract_bit(observed[1], xs, 1, 1) == 0
+    observed, x, lanes = observe(nl, 0, key.slice_value(0))
+    assert extract_bit(observed[0], 0, lanes[0], 0) == 1
+    assert extract_bit(observed[1], x[1], lanes[1], 1) == 0
 
 
 def test_extract_zero_constant_all_bits_zero():
+    # While every bit reads 0 the running product stays 0 on every lane.
     qf, da, tmcm, key, nl = build_small([0, 5], spread=1)
-    observed, xs = observe(nl, 0, key.slice_value(0))
+    observed, x, lanes = observe(nl, 0, key.slice_value(0))
     partial = 0
     for j in range(tmcm.cbw):
-        partial |= extract_bit(observed[j], xs, partial, j) << j
+        partial |= extract_bit(observed[j], 0, lanes[j], j) << j
     assert partial == 0
+
+
+def scan_outcome(scan, *args):
+    """The constant ``scan`` returns, or the message of its `NoConsistentBit`."""
+    try:
+        return scan(*args)
+    except NoConsistentBit as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cbw_minus_ibw", [-1, 0, 1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bit_sliced_scan_agrees_with_numpy_scan(cbw_minus_ibw, data):
+    # Every (select, key value) pair of a small lock is observed as the
+    # extraction observes it, then some lanes of some product bits are
+    # flipped, or a whole bit: the bit-sliced scan must return the
+    # constant the int64 scan returns, or raise its message at its bit.
+    tmcm = data.draw(small_tmcms(cbw_minus_ibw))
+    cbw, ibw = tmcm.cbw, tmcm.ibw
+    width = 1 << min(cbw, ibw)
+    x = pack_value_bits(np.arange(width), ibw)
+    x_planes = (x + x[-1:] * cbw)[:cbw]
+    lanes = [(1 << min(2 << j, width)) - 1 for j in range(cbw)]
+    xs_signed = [v - ((v >> (ibw - 1)) << ibw) for v in range(width)]
+    ev = PackedEvaluator(lowered(tmcm))
+    flip = st.tuples(st.integers(0, cbw - 1), st.integers(-1, width - 1))  # lane -1: every lane
+    for i, (offset, w) in enumerate(zip(key_offsets(tmcm.key_widths), tmcm.key_widths)):
+        for v in range(1 << w):
+            observed = ev.run({"i": i, "k": v << offset, "x": x}, width, range(cbw))
+            for t, lane in data.draw(st.lists(flip, max_size=3)):
+                observed[t] ^= lanes[-1] if lane < 0 else 1 << lane
+            expected = scan_outcome(numpy_scan, observed, xs_signed, cbw)
+            assert scan_outcome(attack._scan, observed, x_planes, lanes) == expected
 
 
 # --- full extraction ------------------------------------------------------
@@ -171,6 +213,50 @@ def test_observation_runs_build_one_schedule_per_worker(monkeypatch, tmp_path):
         builds[pid] = builds.get(pid, 0) + n
     assert runs == {i: len(row) for i, row in enumerate(rec.R)}
     assert set(builds.values()) == {1}
+
+
+# sha256 of every schedule filter 1 hdrd's extraction at p = 116 builds, as
+# `schedule_record` lists them.
+P116_SCHEDULES_SHA256 = "541e73b687fd8aefab98454ca75a3ab9e5993c35ab92329b9042b19ead47ac0d"
+
+
+def schedule_record(ev, varying, out_bits):
+    held, steps, outputs = ev._build_schedule(varying, out_bits)
+    return [varying, list(out_bits), held, [list(step) for step in steps], outputs]
+
+
+def test_extraction_schedules_are_the_reference_cones(designed, monkeypatch, tmp_path):
+    # attack-sweep's largest case.  Each forked worker logs the varying
+    # bits and output bits of every schedule it builds; each schedule
+    # must list the gates `reference_schedule` finds, and all of them
+    # together keep their recorded digest.  The observation runs vary x's
+    # bits below min(cbw, ibw) alone: a held i or k varies nothing.
+    d = designed(1)
+    da = assign_decoys(d.qf, 116, DecoyMethod.HDRD, seed=DECOY_SEED)
+    nl = lowered(build_tmcm(d.qf, da, ibw=REFERENCE_IBW, seed=PLACEMENT_SEED)[0])
+    cbw, ibw = nl.meta["cbw"], nl.meta["ibw"]
+    log = os.open(tmp_path / "schedules.txt", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    original = PackedEvaluator._build_schedule
+
+    def logging_build(self, varying, out_bits):
+        os.write(log, f"{varying} {' '.join(map(str, out_bits))}\n".encode())
+        return original(self, varying, out_bits)
+
+    monkeypatch.setattr(PackedEvaluator, "_build_schedule", logging_build)
+    extract_constants(nl, seed=ATTACK_SEED)
+    os.close(log)
+    monkeypatch.setattr(PackedEvaluator, "_build_schedule", original)
+    lines = (tmp_path / "schedules.txt").read_text().splitlines()
+    keys = sorted({(int(v), tuple(map(int, bits))) for v, *bits in map(str.split, lines)})
+    observation = sum(1 << (nid - 2) for nid in nl.inputs["x"][: min(cbw, ibw)])
+    assert [v for v, bits in keys if bits == tuple(range(cbw))] == [observation]
+    ev = PackedEvaluator(nl)
+    records = [schedule_record(ev, varying, out_bits) for varying, out_bits in keys]
+    for varying, out_bits, held, steps, outputs in records:
+        ref_held, ref_steps, ref_outputs = reference_schedule(nl, varying, out_bits)
+        assert (held, [step[0] for step in steps], outputs) == (ref_held, ref_steps, ref_outputs)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == P116_SCHEDULES_SHA256
 
 
 def lane_values(port, width):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import const_mask, tmcm_multiply
+from oracles import const_mask, pack_value_bits_per_bit, tmcm_multiply
 
 from firlock.decoys import DecoyMethod, assign_decoys
 from firlock.netlist import (
@@ -382,6 +382,19 @@ def test_wide_table_lowering_equals_per_leaf_walk_gate_for_gate(tmcm):
 def test_reference_lowering_equals_per_leaf_walk(built, dsm):
     b = built(1, dsm)
     _assert_same_netlist(b.netlist, _lower_walking_every_leaf(b.tmcm))
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 63, 64, 70, 116])
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 16387])
+def test_pack_value_bits_equals_per_bit_packing(width, length):
+    # int64 words of both signs, uint64 words, and Python lists of each.
+    rng = np.random.default_rng(length)
+    signed = rng.integers(-(1 << 63), (1 << 63) - 1, size=length, dtype=np.int64, endpoint=True)
+    unsigned = rng.integers(0, (1 << 64) - 1, size=length, dtype=np.uint64, endpoint=True)
+    for values in (signed, unsigned, signed.tolist(), unsigned.tolist()):
+        masks = pack_value_bits(values, width)
+        assert masks == pack_value_bits_per_bit(values, width)
+        assert masks[64:] == [0] * (width - 64)
 
 
 def test_zero_input_gives_zero_product():
