@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -106,7 +107,9 @@ def infer_key_slices(ev: PackedEvaluator) -> list:
     return slices
 
 
-def extract_bit(observed_j: int, product_j: int, lanes: int, j: int) -> int:
+def extract_bit(
+    observed_j: int, product_j: int, lanes: int, j: int, odd_lanes: int | None = None
+) -> int:
     """Bit j of a constant, given the product of its verified bits 0..j-1.
 
     ``observed_j`` is the netlist's product bit j on lanes x = 0, 1, ...,
@@ -118,31 +121,35 @@ def extract_bit(observed_j: int, product_j: int, lanes: int, j: int) -> int:
     where x is odd, which is on the odd lanes.  The checked lanes include
     x = 1, so the two candidates always differ and at most one matches;
     when neither does, the block is no constant multiplier and
-    `NoConsistentBit` is raised.
+    `NoConsistentBit` is raised.  ``odd_lanes`` is the odd-lane pattern
+    ``lanes // 3 << 1``, computed here when not given; the scan passes
+    the patterns `extract_constants` computes once.
     """
     diff = (observed_j ^ product_j) & lanes
     if not diff:
         return 0
-    if diff == lanes // 3 << 1:  # 0b...1010 over 1 or an even number of lanes
+    if odd_lanes is None:
+        odd_lanes = lanes // 3 << 1  # 0b...1010 over 1 or an even number of lanes
+    if diff == odd_lanes:
         return 1
     raise NoConsistentBit(f"no constant bit {j} reproduces f_r")
 
 
-def _scan(observed, x_planes, lanes) -> int:
+def _scan(observed, x_planes, lanes, odd_lanes) -> int:
     """The constant's bits 0..cbw-1 (cbw = ``len(lanes)``), LSB first.
 
     ``observed`` holds the netlist's product bits on lanes x = 0, 1, ...,
     ``x_planes`` the bits of x read signed, sign-extended to cbw planes,
-    and ``lanes[j]`` the lanes bit j is checked on.  The product of the
-    bits decided so far is kept bit-sliced, one lane mask per product
-    bit mod 2**cbw; each 1 bit j adds x << j to it by a ripple-carry
-    over planes j..cbw-1.
+    ``lanes[j]`` the lanes bit j is checked on and ``odd_lanes[j]`` their
+    odd ones.  The product of the bits decided so far is kept
+    bit-sliced, one lane mask per product bit mod 2**cbw; each 1 bit j
+    adds x << j to it by a ripple-carry over planes j..cbw-1.
     """
     cbw = len(lanes)
     product = [0] * cbw
     constant = 0
     for j in range(cbw):
-        if extract_bit(observed[j], product[j], lanes[j], j):
+        if extract_bit(observed[j], product[j], lanes[j], j, odd_lanes[j]):
             constant |= 1 << j
             carry = product[j] & x_planes[0]  # plane j itself is not read again
             for t in range(j + 1, cbw):
@@ -223,6 +230,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
     x_masks = pack_value_bits(np.arange(width), ibw)
     x_planes = (x_masks + x_masks[-1:] * cbw)[:cbw]
     lanes = [(1 << min(2 << j, width)) - 1 for j in range(cbw)]
+    odd_lanes = [m // 3 << 1 for m in lanes]
 
     def solve_group(group) -> list:
         rows = []
@@ -234,7 +242,7 @@ def extract_constants(nl: GateNetlist, samples: int = 1000, seed: int = 0) -> Re
                 k = _spread(v, bits_i)
                 observed = ev.run({"i": i, "k": k, "x": x_masks}, width, range(cbw))
                 try:
-                    constant = _scan(observed, x_planes, lanes)
+                    constant = _scan(observed, x_planes, lanes, odd_lanes)
                 except NoConsistentBit as exc:
                     _spot_check(ev, slices, group, rows, samples, seed)
                     raise NoConsistentBit(f"{exc} for i={i}, k={k:#x}") from None
@@ -276,7 +284,8 @@ def _spot_check(ev, slices, group, rows, samples, seed):
     gets a block of ``samples`` lanes, with i and k set to it and x drawn
     from the slice's generator, seeded by ``(seed, i)``; k's other
     slices' bits stay 0.  The pairs fill runs of at most
-    `SPOT_CHECK_LANES` lanes in order, each run's x drawn as it is built.
+    `SPOT_CHECK_LANES` lanes in order, each run's x drawn as it is built,
+    one generator call per slice in the run.
     A run that covers one slice holds i, so the evaluator prunes by it.
     """
     nl = ev.nl
@@ -286,9 +295,10 @@ def _spot_check(ev, slices, group, rows, samples, seed):
     per_run = _values_per_run(samples)
     for first in range(0, len(pairs), per_run):
         batch_i, batch_v, batch_c = zip(*pairs[first : first + per_run])
-        xs = np.concatenate(
-            [rngs[i].integers(0, 1 << ibw, size=samples, dtype=np.uint64) for i in batch_i]
-        )
+        xs = np.concatenate([
+            rngs[i].integers(0, 1 << ibw, size=samples * len(list(run)), dtype=np.uint64)
+            for i, run in groupby(batch_i)
+        ])
         lane_i = np.repeat(np.array(batch_i, dtype=np.uint64), samples)
         lane_v = np.repeat(np.array(batch_v, dtype=np.uint64), samples)
         lo, hi = batch_i[0], batch_i[-1]

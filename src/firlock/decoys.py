@@ -20,6 +20,10 @@ methods are supported:
 coefficient, fixed by N and p alone), each coefficient's legal decoys as
 one ascending int64 array built once, and one boolean ``free`` mask per
 coefficient that every pick clears; a visit only draws from that state.
+A visit draws its random numbers in batched ``rng.integers`` calls that
+consume exactly the values one call per draw would: numpy's generator
+gives one array call, also one with an array of bounds, the values and
+the end state of the same run of scalar calls.
 """
 
 from __future__ import annotations
@@ -94,6 +98,12 @@ def assign_decoy_single(
     the entries no earlier visit has drawn; the picks are cleared in
     ``free``.  Raises `InsufficientCandidates` when fewer than ``nod``
     free values remain.
+
+    The picks, and ``rng``'s state afterwards, are those of drawing one
+    value per ``rng.integers`` call (``tests/oracles.py`` keeps that
+    loop): ``hd`` takes a pool's picks from one call with decreasing
+    bounds, and ``rd`` draws at most as many values at a time as its
+    redraw loop is sure to use from the same range.
     """
     if nod < 1:
         raise ValueError("nod must be at least 1")
@@ -104,35 +114,47 @@ def assign_decoy_single(
         )
     if dsm is DecoyMethod.HDRD:
         dsm = DecoyMethod.HD if (free.all() and nod == 1) else DecoyMethod.RD
+    picks = []
     if dsm is DecoyMethod.HD:
+        # The pool is the free candidates at the smallest distance that
+        # has any, in index order, and a pick leaves it: each distance is
+        # scanned once per visit.  The k picks from a pool of L come from
+        # one call, the j-th uniform over the L - j entries left.
         dist = hamming_to(cands, h_i)
-        d, pool = 0, []
+        d = 0
+        while len(picks) < nod:
+            pool = np.flatnonzero(free & (dist == d)).tolist()
+            d += 1
+            L = len(pool)
+            k = min(nod - len(picks), L)
+            if k:
+                picks += [pool.pop(r) for r in rng.integers(0, np.arange(L, L - k, -1)).tolist()]
+        free[picks] = False
     else:
-        # Candidates whose magnitude bit-width is within one of h_i's: cands[lo:hi].
+        # Candidates whose magnitude bit-width is within one of h_i's:
+        # cands[lo:hi], with ``left`` free entries.  A draw that hits a
+        # taken entry is redrawn, and once the slice is used up the rest
+        # come from the whole array.  Each call draws only what the
+        # redraw loop is sure to use: at least min(need, left) more draws
+        # come from the same range.
         b = magnitude_bitwidth(h_i)
         mags = (1 << max(b - 2, 0), 1 << (b + 1))
         lo, hi = np.searchsorted(cands, mags if h_i >= 0 else (1 - mags[1], 1 - mags[0])).tolist()
         left = int(np.count_nonzero(free[lo:hi]))
-    picked = []
-    for _ in range(nod):
-        if dsm is DecoyMethod.HD:
-            # The pool is the free candidates at the smallest distance
-            # that has any, in index order, and a pick leaves it: each
-            # distance is scanned once per visit, and the first draw is kept.
-            while not pool:
-                pool = np.flatnonzero(free & (dist == d)).tolist()
-                d += 1
-            j = pool.pop(rng.integers(0, len(pool)))
-        else:
-            if not left:  # the slice is used up: draw from the whole array from now on
-                lo, hi = 0, cands.size
-            j = lo + rng.integers(0, hi - lo)
-            while not free[j]:
-                j = lo + rng.integers(0, hi - lo)
-            left -= 1
-        free[j] = False
-        picked.append(int(cands[j]))
-    return picked
+        while len(picks) < nod:
+            if not left:
+                lo, hi, left = 0, cands.size, remaining - len(picks)
+            m = min(nod - len(picks), left)
+            if m == 1:  # a call without ``size`` is a few µs cheaper
+                draws = [int(rng.integers(0, hi - lo))]
+            else:
+                draws = rng.integers(0, hi - lo, size=m).tolist()
+            for j in (lo + r for r in draws):
+                if free[j]:
+                    free[j] = False
+                    picks.append(j)
+                    left -= 1
+    return cands[picks].tolist()
 
 
 @dataclass(frozen=True)

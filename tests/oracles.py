@@ -10,7 +10,8 @@ table outright.  `numpy_scan` is the LSB-first scan without bit slicing:
 each bit checked with an int64 product over its lanes.
 `pack_value_bits_per_bit` packs lane masks one bit plane at a time, and
 `reference_schedule` lists an evaluator schedule from one forward and
-one backward pass over the gates.  The word-level product `tmcm_multiply` (the selected
+one backward pass over the gates.  `per_draw_decoys` draws a visit's
+decoys with one generator call per draw, redraws included.  The word-level product `tmcm_multiply` (the selected
 constant times x, in exact integers) is what the gate-level lowering
 must equal, and `reference_convolution` (``np.convolve``) is what the
 folded filter must equal.  `const_mask` holds one input bit constant
@@ -20,6 +21,9 @@ across all lanes of a `PackedEvaluator` run.
 import numpy as np
 
 from firlock.attack import NoConsistentBit
+from firlock.decoys import DecoyMethod, InsufficientCandidates
+from firlock.design import magnitude_bitwidth
+from firlock.hamming import hamming_to
 from firlock.netlist import PackedEvaluator, pack_value_bits
 from firlock.tmcm import ObfuscatedTMCM, tmcm_select
 
@@ -278,3 +282,48 @@ def reference_schedule(nl, varying: int, out_bits) -> tuple:
     read = {o for nid in steps for o in operands[nid]} | set(outputs)
     held = sorted(nid for nid in read if nid >= first and not varies[nid])
     return held, steps, outputs
+
+
+def per_draw_decoys(nod, cands, free, h_i, dsm, rng) -> list:
+    """`firlock.decoys.assign_decoy_single` with one ``rng.integers`` call per draw.
+
+    An ``hd`` pick is uniform over the free candidates at the smallest
+    distance that has any; an ``rd`` pick is uniform over the magnitude
+    slice, redrawn while it hits a taken entry, and over the whole array
+    once the slice is used up.  The picks are cleared in ``free`` one
+    at a time.
+    """
+    if nod < 1:
+        raise ValueError("nod must be at least 1")
+    remaining = int(np.count_nonzero(free))
+    if remaining < nod:
+        raise InsufficientCandidates(
+            f"{nod} decoys requested but only {remaining} candidates remain"
+        )
+    if dsm is DecoyMethod.HDRD:
+        dsm = DecoyMethod.HD if (free.all() and nod == 1) else DecoyMethod.RD
+    if dsm is DecoyMethod.HD:
+        dist = hamming_to(cands, h_i)
+        d, pool = 0, []
+    else:
+        b = magnitude_bitwidth(h_i)
+        mags = (1 << max(b - 2, 0), 1 << (b + 1))
+        lo, hi = np.searchsorted(cands, mags if h_i >= 0 else (1 - mags[1], 1 - mags[0])).tolist()
+        left = int(np.count_nonzero(free[lo:hi]))
+    picked = []
+    for _ in range(nod):
+        if dsm is DecoyMethod.HD:
+            while not pool:
+                pool = np.flatnonzero(free & (dist == d)).tolist()
+                d += 1
+            j = pool.pop(rng.integers(0, len(pool)))
+        else:
+            if not left:
+                lo, hi = 0, cands.size
+            j = lo + rng.integers(0, hi - lo)
+            while not free[j]:
+                j = lo + rng.integers(0, hi - lo)
+            left -= 1
+        free[j] = False
+        picked.append(int(cands[j]))
+    return picked

@@ -80,6 +80,25 @@ ROWS = [
         3c9319731126ba02a8e47bf33be926ecd4aba42848b27ba4747833bdc6678017  run-p261/obf/layout.json
         7dd5b935e0e99ad4634ccd6f71712dd50b5891224a7dd9ef1732b6aa8265ee16  run-p261/obf/secret-assignment.json
     """, compare="run-p261/obf", dumps="run-p261/obf/netlist.json run-p261/obf/secret-assignment.json"),
+    # lock-sweep's budgets: the batched decoy draws must keep every pick, rd's redraws included.
+    row("filter 1 rd p = 247", ("plain", "one CPU"), """
+        firlock obfuscate --quant run-p247/design/filter1.quant.json \
+            --dsm rd --p 247 --out run-p247-rd/obf
+        7cdf401f19d74c72ed2c115cd709559ab88ef54081ef79455660639e7abeb2c8  run-p247-rd/obf/netlist.json
+        2f7a452a287febf5d6f85cd470edb2ad81bf13cca2a86b2ae6f57e721e728eef  run-p247-rd/obf/design.v
+        812a6ffd5948beb7504c4ffca31db9749b308de11699f7d291cefce122b2b6ce  run-p247-rd/obf/key.hex
+        e337ba77c32ef1257c9d1e626ab0b1296b4d3e939f0e2115d82ed5b55edf7ffb  run-p247-rd/obf/layout.json
+        7b68ceed3281a160d3c2615febf603d0764782c6fa6f6ecfddf2423e5092695a  run-p247-rd/obf/secret-assignment.json
+    """, compare="run-p247-rd/obf"),
+    row("filter 1 hd p = 232", ("plain", "one CPU"), """
+        firlock obfuscate --quant run-p247/design/filter1.quant.json \
+            --dsm hd --p 232 --out run-p232-hd/obf
+        a3360425ef7ac52075d5357d67d4f27be828e51a5dbb488904dc4c1ca2319c25  run-p232-hd/obf/netlist.json
+        d88ebc9cfd989c3fdb0ee4c547f6956cfb0655d1487594a1be316f54e5451e5d  run-p232-hd/obf/design.v
+        39013cf901b2fe6e49590b5e1df479ae74a8de9873e1503c4ecdc38d7aa0412e  run-p232-hd/obf/key.hex
+        f91b313f9c94d21480523dcb722cfacc6c36a84cf419e9efca5f871af20cdc4a  run-p232-hd/obf/layout.json
+        dc4d4f771478bf2203c608449a1afedfe0463706b33a8a12fb615a26c2f0a909  run-p232-hd/obf/secret-assignment.json
+    """, compare="run-p232-hd/obf"),
     # Neither a worker's earlier solves nor who loaded HiGHS may move an LP optimum.
     row("filter 2 design", ("plain", "one CPU", "scipy.optimize first"), """
         firlock design --spec src/firlock/specs/filter2.json --out run-f2

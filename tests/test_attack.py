@@ -135,6 +135,7 @@ def test_bit_sliced_scan_agrees_with_numpy_scan(cbw_minus_ibw, data):
     x = pack_value_bits(np.arange(width), ibw)
     x_planes = (x + x[-1:] * cbw)[:cbw]
     lanes = [(1 << min(2 << j, width)) - 1 for j in range(cbw)]
+    odd_lanes = [m // 3 << 1 for m in lanes]
     xs_signed = [v - ((v >> (ibw - 1)) << ibw) for v in range(width)]
     ev = PackedEvaluator(lowered(tmcm))
     flip = st.tuples(st.integers(0, cbw - 1), st.integers(-1, width - 1))  # lane -1: every lane
@@ -144,7 +145,7 @@ def test_bit_sliced_scan_agrees_with_numpy_scan(cbw_minus_ibw, data):
             for t, lane in data.draw(st.lists(flip, max_size=3)):
                 observed[t] ^= lanes[-1] if lane < 0 else 1 << lane
             expected = scan_outcome(numpy_scan, observed, xs_signed, cbw)
-            assert scan_outcome(attack._scan, observed, x_planes, lanes) == expected
+            assert scan_outcome(attack._scan, observed, x_planes, lanes, odd_lanes) == expected
 
 
 # --- full extraction ------------------------------------------------------

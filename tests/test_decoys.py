@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from indistinguishability import check_indistinguishability
+from oracles import per_draw_decoys
 
 import firlock.decoys
 from firlock.decoys import (
@@ -208,18 +209,120 @@ def single_visits(draw):
     return nod, h, l, u, existing, dsm, seed, mbw, cands
 
 
+def _slice_taken(h, mbw, nod, dsm, seed):
+    """A visit of ``nod`` decoys to h = l = u whose rd slice has only its
+    top two magnitudes free, the rest of the candidates all free."""
+    top, sign = (1 << mbw) - 1, 1 if h >= 0 else -1
+    b = magnitude_bitwidth(h)
+    taken = [sign * v for v in range(1 << max(b - 2, 0), (1 << (b + 1)) - 2) if v != abs(h)]
+    cands = [sign * v for v in range(1, top + 1) if v != abs(h)]
+    return nod, h, h, h, taken, dsm, seed, mbw, cands
+
+
 @settings(max_examples=300, deadline=None)
 @given(single_visits())
+# Rejection-heavy rd visits: h = 7's slice, 2..15, has only 14 and 15
+# free.  Two decoys use it up; three at mbw = 4 also take 1, the last
+# free candidate, after the fallback to the whole array; nine at mbw = 6
+# take seven from the whole array.
+@example(_slice_taken(7, 6, 2, DecoyMethod.RD, 0))
+@example(_slice_taken(7, 4, 3, DecoyMethod.RD, 1))
+@example(_slice_taken(-7, 4, 3, DecoyMethod.HDRD, 2))
+@example(_slice_taken(7, 6, 9, DecoyMethod.RD, 3))
 def test_draws_match_interval_restatement(case):
     nod, h, l, u, existing, dsm, seed, mbw, cands = case
-    nd, D = visit(nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw)
-    expected = _restated_draws(nod, h, l, u, existing, dsm, np.random.default_rng(seed), mbw)
+    rng, restated_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    nd, D = visit(nod, h, l, u, existing, dsm, rng, mbw)
+    expected = _restated_draws(nod, h, l, u, existing, dsm, restated_rng, mbw)
     assert D[: len(existing)] == existing
     picks = D[len(existing):]
     assert picks == expected
     assert nd == len(D) == len(existing) + nod
     assert len(set(picks)) == nod
     assert set(picks) <= set(cands) and not set(picks) & set(existing)
+    # The visit drew exactly the restatement's values: no draw more.
+    assert rng.bit_generator.state == restated_rng.bit_generator.state
+
+
+# --- batched draws against one call per draw ---------------------------------
+
+# One Generator.integers call, and the run of scalar calls it stands for.
+BATCHED_AND_SCALAR = {
+    "scalar high": (lambda rng, high, n: rng.integers(0, high, size=n),
+                    lambda rng, high, n: [rng.integers(0, high) for _ in range(n)]),
+    "decreasing high": (lambda rng, high, n: rng.integers(0, np.arange(high, high - n, -1)),
+                        lambda rng, high, n: [rng.integers(0, b) for b in range(high, high - n, -1)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(BATCHED_AND_SCALAR))
+@pytest.mark.parametrize("high", [1, 5, 1000, 2**31 + 3, 2**32, 2**33])
+def test_one_integers_call_equals_its_scalar_calls(shape, high):
+    # The property the batched decoy draws rest on, for the installed
+    # numpy: one call gives the values, and leaves the state, of the run
+    # of scalar calls it stands for.  The draw after it checks the
+    # buffered half of a 64-bit word too.
+    batched, scalar = BATCHED_AND_SCALAR[shape]
+    n = min(high, 40)
+    one, many = np.random.default_rng(high), np.random.default_rng(high)
+    assert batched(one, high, n).tolist() == [int(v) for v in scalar(many, high, n)]
+    assert one.integers(0, 7) == many.integers(0, 7)
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+def test_one_uint64_word_call_equals_per_value_and_scalar_calls():
+    # attack._spot_check draws a slice's x lanes for one run in one call.
+    samples, values = 7, 3
+    one, per_value, scalar = (np.random.default_rng(5) for _ in range(3))
+    draws = one.integers(0, 1 << 32, size=samples * values, dtype=np.uint64).tolist()
+    assert draws == [
+        int(v) for _ in range(values)
+        for v in per_value.integers(0, 1 << 32, size=samples, dtype=np.uint64)
+    ]
+    assert draws == [int(scalar.integers(0, 1 << 32, dtype=np.uint64)) for _ in range(samples * values)]
+    assert one.bit_generator.state == per_value.bit_generator.state == scalar.bit_generator.state
+
+
+def assignment_outcome(draw_visit, qf, p, dsm, seed):
+    """`assign_decoys` with each visit drawn by ``draw_visit``: the
+    assignment and its generator's final state, or the error message."""
+    rngs = []
+
+    def hooked(nod, cands, free, h_i, dsm, rng):
+        rngs.append(rng)
+        return draw_visit(nod, cands, free, h_i, dsm, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(firlock.decoys, "assign_decoy_single", hooked)
+        try:
+            da = assign_decoys(qf, p, dsm, seed)
+        except InsufficientCandidates as exc:
+            return str(exc)
+    return da, rngs[-1].bit_generator.state
+
+
+@st.composite
+def small_filters(draw):
+    """A filter of 1-6 taps whose widest coefficient has 4-7 bits, p in N..3N."""
+    mbw = draw(st.integers(4, 7))
+    top = (1 << mbw) - 1
+    n = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(st.integers(-top, top), min_size=n, max_size=n))
+    coeffs[0] = draw(st.sampled_from([-1, 1])) * draw(st.integers(1 << (mbw - 1), top))
+    lo = [c - draw(st.integers(0, 4)) for c in coeffs]
+    hi = [c + draw(st.integers(0, 4)) for c in coeffs]
+    p = draw(st.integers(n, 3 * n))
+    return make_quantized(coeffs, lo, hi, Q=9), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_filters(), st.sampled_from(list(DecoyMethod)), st.integers(0, 2**32 - 1))
+def test_assignment_matches_per_draw_oracle(case, dsm, seed):
+    # Small filters use up rd slices and whole candidate arrays; the
+    # batched draws must give the per-draw picks and stop where it stops.
+    qf, p = case
+    expected = assignment_outcome(per_draw_decoys, qf, p, dsm, seed)
+    assert assignment_outcome(assign_decoy_single, qf, p, dsm, seed) == expected
 
 
 # sha256 of the sorted-key JSON of assign_decoys on filter 1 (seed
